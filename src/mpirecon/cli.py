@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, apply_overrides, apply_preset, load_config
-from .fields import load_field, save_field
+from .fields import load_field, resample_bilinear, save_field
 from .forward import read_series_csv, write_series_csv
 from .metrics import psnr, ssim
 from .pipeline import (GridSpec, reconstruct, run_core, search_lambda,
@@ -61,16 +61,13 @@ def cmd_reconstruct(cfg: PipelineConfig, scan_path: str, out_dir: str) -> int:
     save_coeffs(res.solution.coeffs, os.path.join(out_dir, "coeffs.mpic"))
     save_field(res.trace, os.path.join(out_dir, "trace.pgm"))
     save_field(res.rho, os.path.join(out_dir, "reconstruction.pgm"))
-    with open(os.path.join(out_dir, "core_diagnostics.csv"), "a") as fh:
-        if fh.tell() == 0:
-            fh.write("iter,residual,energy\n")
-        for it, r, e in res.solution.history:
-            fh.write(f"{it},{r!r},{e!r}\n")
-    if not res.solution.converged:
-        print(f"warning: core stage stopped at the iteration cap "
-              f"(residual {res.solution.final_residual:.3e})", file=sys.stderr)
-    print(f"reconstructed: core iters={res.solution.iterations} "
-          f"residual={res.solution.final_residual:.3e} -> {out_dir}")
+    sol = res.solution
+    with open(os.path.join(out_dir, "core_diagnostics.csv"), "w") as fh:
+        fh.write(f"residual,energy\n{sol.final_residual!r},{sol.energy!r}\n")
+    if not sol.converged:
+        print(f"warning: core stage normal-equation residual "
+              f"{sol.final_residual:.3e} is above rounding level", file=sys.stderr)
+    print(f"reconstructed: core residual={sol.final_residual:.3e} -> {out_dir}")
     return 0
 
 
@@ -130,11 +127,15 @@ def cmd_metrics(recon_path: str, gt_path: str, csv_path: str = "",
                 phantom: str = "", stage: str = "", order: int = 0) -> int:
     """Score two PGM images; peak is the ground-truth dynamic range.
 
-    With --csv, appends a `phantom,stage,order,psnr,ssim` row (header added
-    to new files) so suite runs can accumulate a score table.
+    A ground truth on another grid (the fine simulation grid) is first
+    resampled bilinearly onto the reconstruction grid.  With --csv, appends
+    a `phantom,stage,order,psnr,ssim` row (header added to new files) so
+    suite runs can accumulate a score table.
     """
     recon = load_field(recon_path)
     gt = load_field(gt_path)
+    if (gt.nx, gt.ny) != (recon.nx, recon.ny):
+        gt = resample_bilinear(gt, recon.nx, recon.ny)
     peak = float(gt.values.max() - gt.values.min())
     if peak == 0.0:
         peak = 1.0

@@ -51,9 +51,6 @@ class GridConfig:
 class CoreConfig:
     order: int = 2
     lam: float = 0.01
-    tol: float = 1e-8
-    max_iter: int = 2000
-    ridge: float = 1e-12
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import os
 import subprocess
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from scipy import fft as sfft
 from scipy.ndimage import gaussian_filter
 
 from .fields import ScalarField, load_field, save_field
+from .forward import offset_grids
 from .kernels import KernelParams, kernel_trace
 
 log = logging.getLogger(__name__)
@@ -36,19 +38,20 @@ class ConvolutionOperator:
     """Linear (zero-padded) 2D convolution with a full-stencil kernel.
 
     The kernel array holds samples at all offsets -(n-1)..(n-1) per axis
-    (shape (2nx-1, 2ny-1)), already scaled by the cell area.  The adjoint is
-    correlation, i.e. convolution with the flipped kernel.
+    (shape (2nx-1, 2ny-1)), already scaled by the cell area.  It must be
+    point-symmetric, k(-y) = k(y), so that C is its own adjoint.
     """
 
     def __init__(self, kernel: np.ndarray, shape: tuple[int, int]):
         nx, ny = shape
         if kernel.shape != (2 * nx - 1, 2 * ny - 1):
             raise ValueError("kernel must cover all grid offsets")
+        if not np.allclose(kernel, kernel[::-1, ::-1], rtol=1e-12, atol=0.0):
+            raise ValueError("kernel must be point-symmetric")
         self.shape = (nx, ny)
-        full = (nx + kernel.shape[0] - 1, ny + kernel.shape[1] - 1)
-        self._fshape = (sfft.next_fast_len(full[0]), sfft.next_fast_len(full[1]))
+        # a circular size >= 2n-1 leaves the "same" window free of wraparound
+        self._fshape = (sfft.next_fast_len(2 * nx - 1), sfft.next_fast_len(2 * ny - 1))
         self._khat = sfft.rfftn(kernel, self._fshape)
-        self._khat_adj = sfft.rfftn(kernel[::-1, ::-1], self._fshape)
         # periodic (wrapped) kernel spectrum, used for preconditioning
         wrapped = np.zeros(shape)
         ix = (np.arange(kernel.shape[0]) - (nx - 1)) % nx
@@ -56,16 +59,10 @@ class ConvolutionOperator:
         np.add.at(wrapped, (ix[:, None], iy[None, :]), kernel)
         self.periodic_spectrum = sfft.fft2(wrapped)
 
-    def _conv(self, x: np.ndarray, khat: np.ndarray) -> np.ndarray:
-        nx, ny = self.shape
-        out = sfft.irfftn(sfft.rfftn(x, self._fshape) * khat, self._fshape)
-        return out[nx - 1: 2 * nx - 1, ny - 1: 2 * ny - 1]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._conv(x, self._khat)
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._conv(y, self._khat_adj)
+        nx, ny = self.shape
+        out = sfft.irfftn(sfft.rfftn(x, self._fshape) * self._khat, self._fshape)
+        return out[nx - 1: 2 * nx - 1, ny - 1: 2 * ny - 1]
 
 
 def build_convolution_operator(params: KernelParams, nx: int,
@@ -73,16 +70,13 @@ def build_convolution_operator(params: KernelParams, nx: int,
     """C_h: convolution with kappa_h sampled on grid offsets times cell area."""
     if nx < 8 or ny < 8:
         raise ValueError("deconvolution grid must be at least 8x8")
-    dx = (np.arange(2 * nx - 1) - (nx - 1)) * (2.0 / nx)
-    dy = (np.arange(2 * ny - 1) - (ny - 1)) * (2.0 / ny)
-    ox, oy = np.meshgrid(dx, dy, indexing="ij")
-    kernel = kernel_trace((ox, oy), params) * (2.0 / nx) * (2.0 / ny)
+    kernel = kernel_trace(offset_grids(nx, ny), params) * (2.0 / nx) * (2.0 / ny)
     return ConvolutionOperator(kernel, (nx, ny))
 
 
-def _pcg(apply_a, b, x0, precond, tol, max_iter):
-    """Preconditioned CG; returns (x, iterations, converged)."""
-    x = x0.copy()
+def _pcg(apply_a, b, start, precond, tol, max_iter):
+    """Preconditioned CG from the iterate start; returns (x, iterations, converged)."""
+    x = start.copy()
     r = b - apply_a(x)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -116,11 +110,11 @@ def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
-    b = op.apply_adjoint(u.values) + nu * rho2.values
+    b = op.apply(u.values) + nu * rho2.values
     denom = np.abs(op.periodic_spectrum) ** 2 + nu
 
     def apply_a(x):
-        return op.apply_adjoint(op.apply(x)) + nu * x
+        return op.apply(op.apply(x)) + nu * x
 
     def precond(r):
         return np.real(sfft.ifft2(sfft.fft2(r) / denom))
@@ -141,7 +135,6 @@ class DenoiserSpec:
     kind: str = "gaussian_blur"
     width_factor: float = 0.3    # blur std in domain units per unit sigma
     command: str = ""            # external: executable invoked on the exchange dir
-    exchange_dir: str = ""       # external: directory for the file protocol
     timeout: float = 60.0
 
     def __post_init__(self):
@@ -166,22 +159,21 @@ def denoise(rho: ScalarField, sigma: float, spec: DenoiserSpec) -> ScalarField:
 
 def _denoise_external(rho: ScalarField, sigma: float,
                       spec: DenoiserSpec) -> ScalarField:
-    """File-exchange protocol: in.pgm/in.range + sigma -> out.pgm/out.range."""
-    xdir = spec.exchange_dir or "."
-    os.makedirs(xdir, exist_ok=True)
-    save_field(rho, os.path.join(xdir, "in.pgm"))
-    with open(os.path.join(xdir, "sigma"), "w") as fh:
-        fh.write(f"{sigma!r}\n")
-    try:
-        proc = subprocess.run([spec.command, xdir], capture_output=True,
-                              timeout=spec.timeout)
-    except subprocess.TimeoutExpired as exc:
-        raise RuntimeError(f"external denoiser timed out after {spec.timeout}s") from exc
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"external denoiser failed with exit status {proc.returncode}: "
-            f"{proc.stderr.decode(errors='replace')[:500]}")
-    out = load_field(os.path.join(xdir, "out.pgm"))
+    """File protocol in a per-call temporary dir: in.pgm + sigma -> out.pgm."""
+    with tempfile.TemporaryDirectory(prefix="mpirecon-denoise-") as xdir:
+        save_field(rho, os.path.join(xdir, "in.pgm"))
+        with open(os.path.join(xdir, "sigma"), "w") as fh:
+            fh.write(f"{sigma!r}\n")
+        try:
+            proc = subprocess.run([spec.command, xdir], capture_output=True,
+                                  timeout=spec.timeout)
+        except subprocess.TimeoutExpired as exc:
+            raise RuntimeError(f"external denoiser timed out after {spec.timeout}s") from exc
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"external denoiser failed with exit status {proc.returncode}: "
+                f"{proc.stderr.decode(errors='replace')[:500]}")
+        out = load_field(os.path.join(xdir, "out.pgm"))
     if (out.nx, out.ny) != (rho.nx, rho.ny):
         raise RuntimeError("external denoiser returned mismatched dimensions")
     return out
@@ -258,7 +250,7 @@ def quadratic_deconvolve(u: ScalarField, params: KernelParams, mu: float,
     if op is None:
         op = build_convolution_operator(params, u.nx, u.ny)
     hx, hy = 2.0 / u.nx, 2.0 / u.ny
-    b = op.apply_adjoint(u.values)
+    b = op.apply(u.values)
     # periodic symbols of C^T C and the Laplacian, for the preconditioner
     kx = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(u.nx) / u.nx)) / hx ** 2
     ky = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(u.ny) / u.ny)) / hy ** 2
@@ -266,7 +258,7 @@ def quadratic_deconvolve(u: ScalarField, params: KernelParams, mu: float,
     denom[0, 0] += mu  # the constant mode is unseen by the gradient penalty
 
     def apply_a(x):
-        return op.apply_adjoint(op.apply(x)) + mu * _neumann_laplacian(x, hx, hy)
+        return op.apply(op.apply(x)) + mu * _neumann_laplacian(x, hx, hy)
 
     def precond(r):
         return np.real(sfft.ifft2(sfft.fft2(r) / denom))

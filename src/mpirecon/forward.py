@@ -34,7 +34,7 @@ class ScanSeries:
             raise ValueError("signals must be one 2-vector per sample")
 
 
-def _offset_grids(nx: int, ny: int):
+def offset_grids(nx: int, ny: int):
     """Grid-offset coordinates for the full (2nx-1, 2ny-1) kernel stencil."""
     dx = (np.arange(2 * nx - 1) - (nx - 1)) * (2.0 / nx)
     dy = (np.arange(2 * ny - 1) - (ny - 1)) * (2.0 / ny)
@@ -43,7 +43,7 @@ def _offset_grids(nx: int, ny: int):
 
 def core_response_field(rho: ScalarField, params: KernelParams) -> MatrixField:
     """A = K_h * rho on rho's grid; a12 and a21 share one convolution."""
-    ox, oy = _offset_grids(rho.nx, rho.ny)
+    ox, oy = offset_grids(rho.nx, rho.ny)
     k11, k12, k22 = kernel_matrix_components(ox, oy, params)
     area = rho.cell_area
     out = np.empty((rho.nx, rho.ny, 2, 2))
@@ -57,7 +57,7 @@ def core_response_field(rho: ScalarField, params: KernelParams) -> MatrixField:
 
 def trace_response_field(rho: ScalarField, params: KernelParams) -> ScalarField:
     """kappa_h * rho, the scalar (trace) convolution, computed independently."""
-    ox, oy = _offset_grids(rho.nx, rho.ny)
+    ox, oy = offset_grids(rho.nx, rho.ny)
     ker = kernel_trace((ox, oy), params)
     return ScalarField(fftconvolve(rho.values, ker, mode="same") * rho.cell_area)
 

@@ -15,13 +15,14 @@ import numpy as np
 
 from . import phantom as ph
 from .config import PipelineConfig
-from .core_stage import CoreProblem, CoreSolution, solve_core, trace_field
+from .core_stage import CoreProblem, CoreSolution, CoreSystem, solve_core, trace_field
 from .deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
                            build_convolution_operator, deconvolve)
 from .fields import ScalarField, resample_bilinear
 from .forward import ScanSeries, core_response_field, simulate_series
 from .kernels import KernelParams
 from .metrics import ideal_trace, score_pair
+from .spectral import CoeffTensor
 from .trajectory import LissajousSpec, ScanGeometry, make_scan, merge_scans, rotate_scan
 
 
@@ -60,7 +61,7 @@ def phantom_spec(cfg: PipelineConfig) -> ph.PhantomSpec:
 def denoiser_spec(cfg: PipelineConfig) -> DenoiserSpec:
     d = cfg.deconv
     return DenoiserSpec(d.denoiser, d.denoiser_width, d.external_command,
-                        "", d.timeout)
+                        d.timeout)
 
 
 @dataclass
@@ -91,19 +92,15 @@ def simulate_case(cfg: PipelineConfig, spec: ph.PhantomSpec | None = None) -> Si
 
 
 def core_problem(cfg: PipelineConfig, series: ScanSeries, lam: float | None = None,
-                 order: int | None = None, tol: float | None = None) -> CoreProblem:
+                 order: int | None = None) -> CoreProblem:
     n = cfg.grids.coeff_n
     return CoreProblem(series, N=n, M=n,
                        order=cfg.core.order if order is None else order,
-                       lam=cfg.core.lam if lam is None else lam,
-                       ridge=cfg.core.ridge,
-                       tol=cfg.core.tol if tol is None else tol,
-                       max_iter=cfg.core.max_iter)
+                       lam=cfg.core.lam if lam is None else lam)
 
 
 def run_core(cfg: PipelineConfig, series: ScanSeries, **kw) -> tuple[CoreSolution, ScalarField]:
-    x0 = kw.pop("x0", None)
-    sol = solve_core(core_problem(cfg, series, **kw), x0=x0)
+    sol = solve_core(core_problem(cfg, series, **kw))
     n_rec = cfg.grids.recon_nx
     return sol, trace_field(sol.coeffs, n_rec, n_rec)
 
@@ -150,7 +147,7 @@ class GridSpec:
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
-        """Parse e.g. 'i=-3:1,j=1,5' or 'values=0.01,0.05,0.1'."""
+        """Parse ';'-separated entries, e.g. 'i=-3:1;j=1,5' or 'values=0.01,0.05'."""
         spec = GridSpec()
         if not text or text == "default":
             return spec
@@ -213,29 +210,30 @@ def _two_step(spec: GridSpec, score_fn):
 
 
 def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
-                  spec: GridSpec | None = None,
-                  search_tol: float = 1e-5) -> SearchResult:
+                  spec: GridSpec | None = None) -> SearchResult:
     """Pick lambda maximizing the mean core-stage trace PSNR over the cases.
 
-    Consecutive grid points warm-start CG from the previous solution of the
-    same case; the search tolerance is looser than the final-solve default
-    since grid scoring only needs ~0.01 dB accuracy.
+    Cases scanned along the same geometry share one CoreSystem: its Gram
+    matrix is built once, and each lambda costs one factorization with
+    every such case's signals as right-hand sides.
     """
     spec = spec or GridSpec()
-    warm: dict[str, np.ndarray] = {}
+    groups: dict[bytes, list[int]] = {}
+    for i, case in enumerate(cases):
+        geom = case.series.geometry
+        key = geom.positions.tobytes() + geom.velocities.tobytes()
+        groups.setdefault(key, []).append(i)
+    systems = [(idx, CoreSystem(core_problem(cfg, cases[idx[0]].series, order=order)),
+                np.stack([cases[i].series.signals for i in idx]))
+               for idx in groups.values()]
 
     def score(lam: float) -> tuple[float, float]:
-        psnrs, ssims = [], []
-        for case in cases:
-            problem = core_problem(cfg, case.series, lam=lam, order=order,
-                                   tol=search_tol)
-            sol = solve_core(problem, x0=warm.get(case.name),
-                             collect_history=False)
-            warm[case.name] = sol.coeffs.coeffs
-            tr = trace_field(sol.coeffs, cfg.grids.recon_nx, cfg.grids.recon_nx)
-            p, s = score_pair(tr, case.u_gt)
-            psnrs.append(p)
-            ssims.append(s)
+        scores = [None] * len(cases)
+        for idx, system, signals in systems:
+            for i, coeffs in zip(idx, system.solve(signals, lam)):
+                tr = trace_field(CoeffTensor(coeffs), cfg.grids.recon_nx, cfg.grids.recon_nx)
+                scores[i] = score_pair(tr, cases[i].u_gt)
+        psnrs, ssims = zip(*scores)
         return float(np.mean(psnrs)), float(np.mean(ssims))
 
     return _two_step(spec, score)
@@ -292,10 +290,9 @@ class OrderScores:
 def run_experiment(cfg: PipelineConfig, cases: list[SimCase], order: int,
                    lambda_spec: GridSpec | None = None,
                    mu_spec: GridSpec | None = None,
-                   search_tol: float = 1e-5,
                    run_deconv_stage: bool = True) -> OrderScores:
     """Grid-search lambda (and mu), then score final solutions per phantom."""
-    lam_res = search_lambda(cfg, cases, order, lambda_spec, search_tol)
+    lam_res = search_lambda(cfg, cases, order, lambda_spec)
     lam = lam_res.best_value
     result = OrderScores(order, lam, float("nan"))
     traces = []

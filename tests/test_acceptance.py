@@ -149,7 +149,7 @@ def test_criterion_4_core_self_consistency():
     gt = CoeffTensor(rng.normal(size=(16, 16, 2, 2)))
     shell = ScanSeries(geom, np.zeros((len(geom), 2)))
     series = ScanSeries(geom, predict(gt, shell))
-    problem = CoreProblem(series, N=16, M=16, order=2, lam=1e-10, tol=1e-10)
+    problem = CoreProblem(series, N=16, M=16, order=2, lam=1e-10)
     sol = solve_core(problem)
     rec_err = float(np.linalg.norm(sol.coeffs.coeffs - gt.coeffs)
                     / np.linalg.norm(gt.coeffs))
@@ -157,7 +157,7 @@ def test_criterion_4_core_self_consistency():
     # gradient vs central differences of the energy
     small = ScanSeries(make_scan(LissajousSpec(freq_x=3, freq_y=4), 40),
                        np.random.default_rng(103).normal(size=(40, 2)))
-    sp = CoreProblem(small, N=5, M=5, order=2, lam=0.2, ridge=0.0)
+    sp = CoreProblem(small, N=5, M=5, order=2, lam=0.2)
     C = CoeffTensor(np.random.default_rng(104).normal(size=(5, 5, 2, 2)))
     g = gradient(C, sp).coeffs
     step = 1e-6

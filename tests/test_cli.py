@@ -33,6 +33,9 @@ def test_config_file_and_overrides(tmp_path):
         apply_overrides(cfg, ["core.lambda"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["trajectory.merge_rotated=maybe"])
+    for key in ("core.tol", "core.max_iter", "core.ridge"):  # the core solve is exact
+        with pytest.raises(ConfigError):
+            apply_overrides(cfg, [f"{key}=1"])
 
 
 def test_config_round_trip(tmp_path):
@@ -89,9 +92,30 @@ def test_reconstruct_pipeline(tmp_path):
     assert (trace.nx, trace.ny) == (32, 32)
     recon = load_field(os.path.join(rec, "reconstruction.pgm"))
     assert (recon.nx, recon.ny) == (32, 32)
+    # a second run into the same directory replaces the diagnostics
+    assert main(FAST + ["reconstruct", os.path.join(sim, "scan.csv"),
+                        "--out", rec]) == 0
     diag = open(os.path.join(rec, "core_diagnostics.csv")).read().splitlines()
-    assert diag[0] == "iter,residual,energy"
-    assert len(diag) > 2
+    assert diag[0] == "residual,energy"
+    assert len(diag) == 2
+    residual, energy = (float(v) for v in diag[1].split(","))
+    assert 0.0 <= residual <= 1e-10 and energy > 0.0
+
+
+def test_readme_simulate_reconstruct_metrics(tmp_path, capsys):
+    # the README's command sequence: the ground truth is on the fine grid,
+    # the reconstruction on the coarser reconstruction grid
+    sim = str(tmp_path / "sim")
+    rec = str(tmp_path / "rec")
+    assert main(FAST + ["simulate", "--out", sim]) == 0
+    assert main(FAST + ["--preset", "exp1_order2", "reconstruct",
+                        os.path.join(sim, "scan.csv"), "--out", rec]) == 0
+    capsys.readouterr()
+    assert main(["metrics", os.path.join(rec, "reconstruction.pgm"),
+                 os.path.join(sim, "ground_truth.pgm")]) == 0
+    out = capsys.readouterr().out
+    psnr = float(out.split("psnr=")[1].split()[0])
+    assert 10.0 < psnr < 60.0
 
 
 def test_reconstruct_zero_signal_gives_zero_images(tmp_path):
@@ -153,3 +177,4 @@ def test_usage_and_io_exit_codes(tmp_path):
     assert main(["reconstruct", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "o")]) == 3
     assert main(["--preset", "nope", "simulate", "--out", str(tmp_path / "x")]) == 1
+    assert main(["--set", "core.tol=1e-8", "simulate", "--out", str(tmp_path / "x")]) == 1

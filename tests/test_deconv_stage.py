@@ -39,15 +39,24 @@ def test_operator_delta_reproduces_kernel():
 
 
 def test_operator_adjoint_identity():
-    n = 20
-    op = build_convolution_operator(PARAMS, n, n)
+    # kappa_h is radial, so C is its own adjoint: <Cx, y> = <x, Cy>
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.normal(size=(n, n))
-        y = rng.normal(size=(n, n))
-        lhs = np.vdot(op.apply(x), y)
-        rhs = np.vdot(x, op.apply_adjoint(y))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    for n in (8, 20, 33):
+        op = build_convolution_operator(PARAMS, n, n)
+        for _ in range(5):
+            x = rng.normal(size=(n, n))
+            y = rng.normal(size=(n, n))
+            lhs = np.vdot(op.apply(x), y)
+            rhs = np.vdot(x, op.apply(y))
+            assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_operator_rejects_asymmetric_kernel():
+    n = 6
+    ker = np.ones((2 * n - 1, 2 * n - 1))
+    ker[0, 0] = 2.0
+    with pytest.raises(ValueError, match="point-symmetric"):
+        ConvolutionOperator(ker, (n, n))
 
 
 def test_operator_matches_direct_summation():
@@ -114,9 +123,9 @@ def test_tikhonov_normal_equation_optimality():
     rho2 = ScalarField(rng.normal(size=(n, n)))
     nu = 0.03
     rho = tikhonov_step(u, rho2, nu, op)
-    resid = (op.apply_adjoint(op.apply(rho.values)) + nu * rho.values
-             - op.apply_adjoint(u.values) - nu * rho2.values)
-    rhs = op.apply_adjoint(u.values) + nu * rho2.values
+    resid = (op.apply(op.apply(rho.values)) + nu * rho.values
+             - op.apply(u.values) - nu * rho2.values)
+    rhs = op.apply(u.values) + nu * rho2.values
     assert np.linalg.norm(resid) <= 1.01e-8 * np.linalg.norm(rhs)
 
 
@@ -174,7 +183,7 @@ def test_denoise_reduces_total_variation():
     assert total_variation(out.values) < total_variation(noisy.values)
 
 
-def test_external_denoiser_protocol(tmp_path):
+def test_external_denoiser_protocol(tmp_path, monkeypatch):
     script = tmp_path / "denoiser.py"
     script.write_text(
         "#!/usr/bin/env python3\n"
@@ -188,20 +197,24 @@ def test_external_denoiser_protocol(tmp_path):
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     os.environ["MPIRECON_SRC"] = src
-    spec = DenoiserSpec(kind="external", command=str(script),
-                        exchange_dir=str(tmp_path / "exchange"))
+    spec = DenoiserSpec(kind="external", command=str(script))
+    # the exchange files live in a per-call temporary directory, never in
+    # the working directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     rng = np.random.default_rng(10)
     x = ScalarField(rng.uniform(size=(16, 16)))
     out = denoise(x, 0.1, spec)
     np.testing.assert_allclose(out.values, 0.5 * x.values, atol=1e-4)
+    assert os.listdir(cwd) == []
 
 
 def test_external_denoiser_failure(tmp_path):
     script = tmp_path / "bad.py"
     script.write_text("#!/usr/bin/env python3\nimport sys\nsys.exit(3)\n")
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    spec = DenoiserSpec(kind="external", command=str(script),
-                        exchange_dir=str(tmp_path / "x"))
+    spec = DenoiserSpec(kind="external", command=str(script))
     with pytest.raises(RuntimeError, match="exit status 3"):
         denoise(ScalarField(np.ones((16, 16))), 0.1, spec)
 
@@ -264,13 +277,13 @@ def test_unregularized_iterations_amplify_noise():
     u = op.apply(rho_true) + 0.02 * rng.normal(size=(n, n))
 
     def plain_cg_norm(iters):
-        b = op.apply_adjoint(u)
+        b = op.apply(u)
         x = np.zeros_like(b)
         r = b.copy()
         p = r.copy()
         rs = np.vdot(r, r)
         for _ in range(iters):
-            ap = op.apply_adjoint(op.apply(p))
+            ap = op.apply(op.apply(p))
             alpha = rs / np.vdot(p, ap)
             x += alpha * p
             r -= alpha * ap
