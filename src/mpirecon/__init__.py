@@ -12,12 +12,11 @@ from .core_stage import CoreProblem, CoreSolution, solve_core, trace_field
 from .deconv_stage import (DeconvProblem, DenoiserSpec, build_convolution_operator,
                            hqs_deconvolve, quadratic_deconvolve, tikhonov_step)
 from .fields import MatrixField, ScalarField, load_field, resample_bilinear, save_field
-from .forward import (ScanSeries, add_noise, core_response_field, evaluate_field,
-                      simulate_signal)
-from .kernels import KernelParams, SymMat2, f1, f2, kernel_matrix, kernel_trace, langevin
+from .forward import ScanSeries, add_noise, core_response_field, simulate_signal
+from .kernels import KernelParams, f1, f2, kernel_matrix, kernel_trace, langevin
 from .metrics import ideal_trace, psnr, ssim
 from .phantom import PhantomSpec, builtin_suite, rasterize
-from .rng import SeededGenerator, normal_pair
+from .rng import SeededGenerator
 from .spectral import (CoeffTensor, analyze, cos_eval, cos_norm, eval_basis_row,
                        laplace_eigenvalue, sin_eval, synthesize)
 from .trajectory import (LissajousSpec, ScanGeometry, lissajous_position,

@@ -1,6 +1,7 @@
 """Command-line surface: simulate, reconstruct, gridsearch, verify, metrics.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O error
+(including an input file that does not follow its format).
 Every command is deterministic given its config and seed.
 """
 
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, apply_overrides, apply_preset, load_config
-from .fields import load_field, resample_bilinear, save_field
+from .fields import FormatError, load_field, resample_bilinear, save_field
 from .forward import read_series_csv, write_series_csv
 from .metrics import psnr, ssim
 from .pipeline import (GridSpec, reconstruct, run_core, search_lambda,
@@ -205,12 +206,12 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except (FormatError, OSError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
     except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

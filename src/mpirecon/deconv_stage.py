@@ -7,9 +7,9 @@ data step with a denoising step:
     sigma <- sqrt(Var(rho1));  nu <- mu / sigma^2
     rho2 <- Denoiser(rho1, sigma)
 
-C is the linear (zero-padded) discrete convolution with kappa_h; the FFT is
-used inside the operator application, and the Tikhonov subproblem is solved
-by CG on the normal equations with a circulant (periodic-kernel)
+C is the linear (zero-padded) discrete convolution with kappa_h, applied by
+the forward model's FFT routine, and the Tikhonov subproblem is solved by
+CG on the normal equations with a circulant (periodic-kernel)
 preconditioner.  The denoiser is pluggable: the built-in choice is a
 Gaussian blur keyed to sigma, and an external-process protocol lets a
 learned denoiser drop in without code changes.
@@ -28,7 +28,7 @@ from scipy import fft as sfft
 from scipy.ndimage import gaussian_filter
 
 from .fields import ScalarField, load_field, save_field
-from .forward import offset_grids
+from .forward import convolve_same, mirror_stencil, offset_grids, stencil_spectrum
 from .kernels import KernelParams, kernel_trace
 
 log = logging.getLogger(__name__)
@@ -49,20 +49,19 @@ class ConvolutionOperator:
         if not np.allclose(kernel, kernel[::-1, ::-1], rtol=1e-12, atol=0.0):
             raise ValueError("kernel must be point-symmetric")
         self.shape = (nx, ny)
-        # a circular size >= 2n-1 leaves the "same" window free of wraparound
-        self._fshape = (sfft.next_fast_len(2 * nx - 1), sfft.next_fast_len(2 * ny - 1))
-        self._khat = sfft.rfftn(kernel, self._fshape)
+        self._khat = stencil_spectrum(kernel)
         # periodic (wrapped) kernel spectrum, used for preconditioning
         wrapped = np.zeros(shape)
         ix = (np.arange(kernel.shape[0]) - (nx - 1)) % nx
         iy = (np.arange(kernel.shape[1]) - (ny - 1)) % ny
         np.add.at(wrapped, (ix[:, None], iy[None, :]), kernel)
         self.periodic_spectrum = sfft.fft2(wrapped)
+        # |periodic spectrum|^2 on the rfft2 half plane; real, and Hermitian
+        # symmetric, so the circulant preconditioners need only rfft2/irfft2
+        self.periodic_power = np.abs(self.periodic_spectrum[:, : ny // 2 + 1]) ** 2
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        nx, ny = self.shape
-        out = sfft.irfftn(sfft.rfftn(x, self._fshape) * self._khat, self._fshape)
-        return out[nx - 1: 2 * nx - 1, ny - 1: 2 * ny - 1]
+        return convolve_same(x, self._khat)
 
 
 def build_convolution_operator(params: KernelParams, nx: int,
@@ -70,8 +69,14 @@ def build_convolution_operator(params: KernelParams, nx: int,
     """C_h: convolution with kappa_h sampled on grid offsets times cell area."""
     if nx < 8 or ny < 8:
         raise ValueError("deconvolution grid must be at least 8x8")
-    kernel = kernel_trace(offset_grids(nx, ny), params) * (2.0 / nx) * (2.0 / ny)
+    kernel = mirror_stencil(kernel_trace(offset_grids(nx, ny), params))
+    kernel = kernel * (2.0 / nx) * (2.0 / ny)
     return ConvolutionOperator(kernel, (nx, ny))
+
+
+def _periodic_solve(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Apply the circulant operator whose rfft2 half spectrum is 1 / denom."""
+    return sfft.irfft2(sfft.rfft2(r) / denom, r.shape)
 
 
 def _pcg(apply_a, b, start, precond, tol, max_iter):
@@ -111,13 +116,13 @@ def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
     if not nu > 0:
         raise ValueError("nu must be positive")
     b = op.apply(u.values) + nu * rho2.values
-    denom = np.abs(op.periodic_spectrum) ** 2 + nu
+    denom = op.periodic_power + nu
 
     def apply_a(x):
         return op.apply(op.apply(x)) + nu * x
 
     def precond(r):
-        return np.real(sfft.ifft2(sfft.fft2(r) / denom))
+        return _periodic_solve(r, denom)
 
     x, iters, ok = _pcg(apply_a, b, rho2.values, precond, tol, max_iter)
     if not ok:
@@ -253,15 +258,15 @@ def quadratic_deconvolve(u: ScalarField, params: KernelParams, mu: float,
     b = op.apply(u.values)
     # periodic symbols of C^T C and the Laplacian, for the preconditioner
     kx = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(u.nx) / u.nx)) / hx ** 2
-    ky = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(u.ny) / u.ny)) / hy ** 2
-    denom = np.abs(op.periodic_spectrum) ** 2 + mu * (kx[:, None] + ky[None, :])
+    ky = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(u.ny // 2 + 1) / u.ny)) / hy ** 2
+    denom = op.periodic_power + mu * (kx[:, None] + ky[None, :])
     denom[0, 0] += mu  # the constant mode is unseen by the gradient penalty
 
     def apply_a(x):
         return op.apply(op.apply(x)) + mu * _neumann_laplacian(x, hx, hy)
 
     def precond(r):
-        return np.real(sfft.ifft2(sfft.fft2(r) / denom))
+        return _periodic_solve(r, denom)
 
     x, iters, ok = _pcg(apply_a, b, np.zeros_like(b), precond, tol, max_iter)
     if not ok:

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class FormatError(ValueError):
+    """An input file that does not follow its documented format."""
+
+
 def cell_centers(n: int) -> np.ndarray:
     """Cell-center coordinates -1 + (2i+1)/n, i = 0..n-1."""
     return -1.0 + (2.0 * np.arange(n) + 1.0) / n
@@ -142,19 +146,19 @@ def load_field(path: str) -> ScalarField:
     # with bytes that look like whitespace, so match rather than split
     m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)[ \t\r\n]", data)
     if m is None:
-        raise ValueError(f"{path}: not a binary P5 PGM / malformed header")
+        raise FormatError(f"{path}: not a binary P5 PGM / malformed header")
     nx, ny, maxval = int(m.group(1)), int(m.group(2)), int(m.group(3))
     if maxval != 65535:
-        raise ValueError(f"{path}: expected maxval 65535, got {maxval}")
+        raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
     raster = data[m.end():]
     if len(raster) < 2 * nx * ny:
-        raise ValueError(f"{path}: raster truncated ({len(raster)} bytes for {nx}x{ny})")
+        raise FormatError(f"{path}: raster truncated ({len(raster)} bytes for {nx}x{ny})")
     raw = np.frombuffer(raster[: 2 * nx * ny], dtype=">u2").reshape(ny, nx).T
     try:
         with open(_range_path(path)) as fh:
             vmin_s, vmax_s = fh.read().split()
         vmin, vmax = float(vmin_s), float(vmax_s)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: missing or malformed .range sidecar") from exc
+        raise FormatError(f"{path}: missing or malformed .range sidecar") from exc
     values = vmin + raw.astype(float) / 65535.0 * (vmax - vmin)
     return ScalarField(values)

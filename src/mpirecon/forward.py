@@ -3,7 +3,8 @@
 The core response A = K_h * rho is computed by linear (zero-padded) discrete
 convolution on the fine grid: kernel entries sampled at all grid offsets,
 scaled by the cell area.  No periodic wraparound — rho has compact support
-and the kernel models free-space physics.
+and the kernel models free-space physics.  The same convolution routine,
+:func:`convolve_same`, serves the deconvolution stage.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 
-from .fields import MatrixField, ScalarField, bilinear_sample
+from .fields import FormatError, MatrixField, ScalarField, bilinear_sample
 from .kernels import KernelParams, SymMat2, kernel_matrix_components, kernel_trace
 from .rng import SeededGenerator
 from .trajectory import ScanGeometry
@@ -35,31 +36,78 @@ class ScanSeries:
 
 
 def offset_grids(nx: int, ny: int):
-    """Grid-offset coordinates for the full (2nx-1, 2ny-1) kernel stencil."""
-    dx = (np.arange(2 * nx - 1) - (nx - 1)) * (2.0 / nx)
-    dy = (np.arange(2 * ny - 1) - (ny - 1)) * (2.0 / ny)
-    return np.meshgrid(dx, dy, indexing="ij")
+    """Nonnegative grid offsets (i 2/nx, j 2/ny), i < nx, j < ny.
+
+    This is the quadrant of the kernel stencil; :func:`mirror_stencil`
+    completes it, since every kernel here is even or odd in each axis.
+    """
+    return np.meshgrid(np.arange(nx) * (2.0 / nx), np.arange(ny) * (2.0 / ny),
+                       indexing="ij")
+
+
+def mirror_stencil(quadrant: np.ndarray, parity: float = 1.0) -> np.ndarray:
+    """Full (2nx-1, 2ny-1) stencil, offset 0 at (nx-1, ny-1), from its quadrant.
+
+    parity is 1 for a kernel even in each axis and -1 for one odd in each.
+    """
+    half = np.concatenate([parity * quadrant[:0:-1], quadrant])
+    return np.concatenate([parity * half[:, :0:-1], half], axis=1)
+
+
+def _fft_shape(nx: int, ny: int) -> tuple[int, int]:
+    # a circular size >= 2n-1 leaves the "same" window free of wraparound
+    return sfft.next_fast_len(2 * nx - 1), sfft.next_fast_len(2 * ny - 1)
+
+
+def stencil_spectrum(stencil: np.ndarray) -> np.ndarray:
+    """Real half spectrum of point-symmetric (..., 2nx-1, 2ny-1) stencils.
+
+    Offset 0 is moved to index (0, 0) of the circular grid, so a stencil
+    with k(-y) = k(y) has a real spectrum.
+    """
+    nx, ny = (stencil.shape[-2] + 1) // 2, (stencil.shape[-1] + 1) // 2
+    wrapped = np.zeros(stencil.shape[:-2] + _fft_shape(nx, ny))
+    wrapped[..., : 2 * nx - 1, : 2 * ny - 1] = stencil
+    wrapped = np.roll(wrapped, (1 - nx, 1 - ny), axis=(-2, -1))
+    return sfft.rfft2(wrapped).real
+
+
+def convolve_same(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Linear convolution of x with stencils, in the "same" window.
+
+    out[..., i, j] = sum_ab x[a, b] k[i - a, j - b] for each stencil k whose
+    :func:`stencil_spectrum` is given.  Only the nx nonzero rows of the
+    padded x are transformed forward, and only the nx window rows back.
+    """
+    nx, ny = x.shape
+    px, py = _fft_shape(nx, ny)
+    xhat = sfft.fft(sfft.rfft(x, py, axis=1), px, axis=0, overwrite_x=True)
+    rows = sfft.ifft(xhat * spectrum, axis=-2, overwrite_x=True)[..., :nx, :]
+    return sfft.irfft(rows, py, axis=-1)[..., :ny]
 
 
 def core_response_field(rho: ScalarField, params: KernelParams) -> MatrixField:
-    """A = K_h * rho on rho's grid; a12 and a21 share one convolution."""
-    ox, oy = offset_grids(rho.nx, rho.ny)
-    k11, k12, k22 = kernel_matrix_components(ox, oy, params)
-    area = rho.cell_area
+    """A = K_h * rho on rho's grid; a12 and a21 share one convolution.
+
+    k11 and k22 are even in each axis and k12 is odd, so each stencil is
+    evaluated on the nonnegative-offset quadrant and mirrored.
+    """
+    k11, k12, k22 = kernel_matrix_components(*offset_grids(rho.nx, rho.ny), params)
+    stencils = np.stack([mirror_stencil(k11), mirror_stencil(k12, -1.0),
+                         mirror_stencil(k22)])
+    c11, c12, c22 = convolve_same(rho.values, stencil_spectrum(stencils)) * rho.cell_area
     out = np.empty((rho.nx, rho.ny, 2, 2))
-    out[:, :, 0, 0] = fftconvolve(rho.values, k11, mode="same") * area
-    c12 = fftconvolve(rho.values, k12, mode="same") * area
+    out[:, :, 0, 0] = c11
     out[:, :, 0, 1] = c12
     out[:, :, 1, 0] = c12
-    out[:, :, 1, 1] = fftconvolve(rho.values, k22, mode="same") * area
+    out[:, :, 1, 1] = c22
     return MatrixField(out)
 
 
 def trace_response_field(rho: ScalarField, params: KernelParams) -> ScalarField:
     """kappa_h * rho, the scalar (trace) convolution, computed independently."""
-    ox, oy = offset_grids(rho.nx, rho.ny)
-    ker = kernel_trace((ox, oy), params)
-    return ScalarField(fftconvolve(rho.values, ker, mode="same") * rho.cell_area)
+    ker = mirror_stencil(kernel_trace(offset_grids(rho.nx, rho.ny), params))
+    return ScalarField(convolve_same(rho.values, stencil_spectrum(ker)) * rho.cell_area)
 
 
 def evaluate_field(A: MatrixField, p) -> SymMat2:
@@ -117,7 +165,9 @@ def read_series_csv(path: str) -> tuple[ScanSeries, float]:
     seed = 0
     rows = []
     with open(path) as fh:
-        for line in fh:
+        lines = fh.read().splitlines()
+    try:
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -134,8 +184,10 @@ def read_series_csv(path: str) -> tuple[ScanSeries, float]:
             if line.startswith("t,"):
                 continue
             rows.append([float(v) for v in line.split(",")])
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed number ({exc})") from exc
+    if not rows or any(len(r) != 7 for r in rows):
+        raise FormatError(f"{path}: expected 7 columns t,rx,ry,vx,vy,sx,sy")
     data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 7:
-        raise ValueError(f"{path}: expected 7 columns t,rx,ry,vx,vy,sx,sy")
     geom = ScanGeometry(data[:, 0], data[:, 1:3], data[:, 3:5])
     return ScanSeries(geom, data[:, 5:7], fraction, seed), h

@@ -9,7 +9,7 @@ over the neighboring magnitudes of the best coarse hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,22 +39,13 @@ def scan_geometry(cfg: PipelineConfig) -> ScanGeometry:
     return geom
 
 
-_BUILTIN = {
-    "disk": ph.disk,
-    "bar": ph.bar,
-    "annulus": ph.annulus,
-    "k_stroke": lambda **kw: ph.k_stroke(**kw),
-    "k_thin": lambda **kw: ph.k_stroke(stroke_width=0.10, name="k_thin", **kw),
-    "k_thick": lambda **kw: ph.k_stroke(stroke_width=0.16, name="k_thick", **kw),
-}
-
-
 def phantom_spec(cfg: PipelineConfig) -> ph.PhantomSpec:
     kind = cfg.phantom.kind
     if kind == "from_file":
         return ph.from_file(cfg.phantom.path, intensity=cfg.phantom.intensity)
-    if kind in _BUILTIN:
-        return _BUILTIN[kind](intensity=cfg.phantom.intensity)
+    builtins = {spec.name: spec for spec in (*ph.builtin_suite(), ph.k_stroke())}
+    if kind in builtins:
+        return replace(builtins[kind], intensity=cfg.phantom.intensity)
     raise ValueError(f"unknown phantom kind {kind!r}")
 
 
@@ -209,15 +200,13 @@ def _two_step(spec: GridSpec, score_fn):
     return SearchResult(best_value, cache[best_value][0], rows)
 
 
-def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
-                  spec: GridSpec | None = None) -> SearchResult:
-    """Pick lambda maximizing the mean core-stage trace PSNR over the cases.
+def _core_traces(cfg: PipelineConfig, cases: list[SimCase], order: int):
+    """A function lam -> the cases' core-stage traces, in case order.
 
     Cases scanned along the same geometry share one CoreSystem: its Gram
     matrix is built once, and each lambda costs one factorization with
     every such case's signals as right-hand sides.
     """
-    spec = spec or GridSpec()
     groups: dict[bytes, list[int]] = {}
     for i, case in enumerate(cases):
         geom = case.series.geometry
@@ -226,17 +215,33 @@ def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
     systems = [(idx, CoreSystem(core_problem(cfg, cases[idx[0]].series, order=order)),
                 np.stack([cases[i].series.signals for i in idx]))
                for idx in groups.values()]
+    n = cfg.grids.recon_nx
 
-    def score(lam: float) -> tuple[float, float]:
-        scores = [None] * len(cases)
+    def traces(lam: float) -> list[ScalarField]:
+        out = [None] * len(cases)
         for idx, system, signals in systems:
             for i, coeffs in zip(idx, system.solve(signals, lam)):
-                tr = trace_field(CoeffTensor(coeffs), cfg.grids.recon_nx, cfg.grids.recon_nx)
-                scores[i] = score_pair(tr, cases[i].u_gt)
-        psnrs, ssims = zip(*scores)
+                out[i] = trace_field(CoeffTensor(coeffs), n, n)
+        return out
+
+    return traces
+
+
+def _search_traces(traces_at, cases: list[SimCase], spec: GridSpec | None) -> SearchResult:
+    """Two-step lambda search on the mean trace PSNR against the cases' u_gt."""
+
+    def score(lam: float) -> tuple[float, float]:
+        psnrs, ssims = zip(*(score_pair(tr, case.u_gt)
+                             for tr, case in zip(traces_at(lam), cases)))
         return float(np.mean(psnrs)), float(np.mean(ssims))
 
-    return _two_step(spec, score)
+    return _two_step(spec or GridSpec(), score)
+
+
+def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
+                  spec: GridSpec | None = None) -> SearchResult:
+    """Pick lambda maximizing the mean core-stage trace PSNR over the cases."""
+    return _search_traces(_core_traces(cfg, cases, order), cases, spec)
 
 
 def search_mu(cfg: PipelineConfig, traces: list[tuple[ScalarField, ScalarField]],
@@ -292,12 +297,11 @@ def run_experiment(cfg: PipelineConfig, cases: list[SimCase], order: int,
                    mu_spec: GridSpec | None = None,
                    run_deconv_stage: bool = True) -> OrderScores:
     """Grid-search lambda (and mu), then score final solutions per phantom."""
-    lam_res = search_lambda(cfg, cases, order, lambda_spec)
-    lam = lam_res.best_value
+    traces_at = _core_traces(cfg, cases, order)
+    lam = _search_traces(traces_at, cases, lambda_spec).best_value
     result = OrderScores(order, lam, float("nan"))
     traces = []
-    for case in cases:
-        sol, tr = run_core(cfg, case.series, lam=lam, order=order)
+    for case, tr in zip(cases, traces_at(lam)):
         p, s = score_pair(tr, case.u_gt)
         result.core_scores.append((case.name, p, s))
         result.traces[case.name] = tr

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MatrixField, ScalarField, cell_centers
+from .fields import FormatError, MatrixField, ScalarField, cell_centers
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -168,13 +168,13 @@ def save_coeffs(ct: CoeffTensor, path: str) -> None:
 def load_coeffs(path: str) -> CoeffTensor:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic, not a coefficient file")
+    if data[:4] != _MAGIC or len(data) < 16:
+        raise FormatError(f"{path}: bad magic or header, not a coefficient file")
     version, N, M = struct.unpack_from("<III", data, 4)
     if version != 1:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise FormatError(f"{path}: unsupported version {version}")
     need = 16 + N * M * 4 * 8
     if len(data) < need:
-        raise ValueError(f"{path}: truncated coefficient file")
+        raise FormatError(f"{path}: truncated coefficient file")
     coeffs = np.frombuffer(data, dtype="<f8", count=N * M * 4, offset=16)
     return CoeffTensor(coeffs.reshape(N, M, 2, 2).copy())

@@ -99,17 +99,3 @@ def merge_scans(a: ScanGeometry, b: ScanGeometry) -> ScanGeometry:
                         np.vstack([a.positions, b.positions]),
                         np.vstack([a.velocities, b.velocities]))
 
-
-def write_geometry_csv(geom: ScanGeometry, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,rx,ry,vx,vy\n")
-        for t, r, v in zip(geom.times, geom.positions, geom.velocities):
-            row = (t, r[0], r[1], v[0], v[1])
-            fh.write(",".join(repr(float(v_)) for v_ in row) + "\n")
-
-
-def read_geometry_csv(path: str) -> ScanGeometry:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.shape[1] != 5:
-        raise ValueError(f"{path}: expected 5 columns t,rx,ry,vx,vy")
-    return ScanGeometry(rows[:, 0], rows[:, 1:3], rows[:, 3:5])

@@ -178,3 +178,16 @@ def test_usage_and_io_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
     assert main(["--preset", "nope", "simulate", "--out", str(tmp_path / "x")]) == 1
     assert main(["--set", "core.tol=1e-8", "simulate", "--out", str(tmp_path / "x")]) == 1
+
+
+def test_malformed_input_files_exit_3(tmp_path, capsys):
+    # format errors are I/O errors (3), not numerical failures (2)
+    pgm = tmp_path / "short.pgm"
+    pgm.write_bytes(b"P5\n8 8\n65535\n" + b"\x00" * 10)
+    (tmp_path / "short.range").write_text("0.0 1.0\n")
+    assert main(["metrics", str(pgm), str(pgm)]) == 3
+    scan = tmp_path / "six.csv"
+    scan.write_text("# h=0.01 fraction=0.0 seed=0\nt,rx,ry,vx,vy,sx\n"
+                    "0.0,0.1,0.2,1.0,0.0,0.5\n0.5,0.2,0.1,0.0,1.0,0.5\n")
+    assert main(FAST + ["reconstruct", str(scan), "--out", str(tmp_path / "rec")]) == 3
+    assert "i/o error" in capsys.readouterr().err

@@ -255,3 +255,31 @@ def test_search_lambda_matches_independent_solves():
                   for c in cases]
         assert psnr_mean == pytest.approx(np.mean([p for p, _ in scores]), abs=1e-10)
         assert ssim_mean == pytest.approx(np.mean([s for _, s in scores]), abs=1e-10)
+
+
+def test_run_experiment_reuses_the_search_gram(monkeypatch):
+    # one Gram build per geometry and order; the final solves at lambda*
+    # reuse it and score as independent solves do
+    from mpirecon import core_stage
+    from mpirecon.config import PipelineConfig
+    from mpirecon.metrics import score_pair
+    from mpirecon.phantom import builtin_suite
+    from mpirecon.pipeline import GridSpec, run_core, run_experiment, simulate_case
+    cfg = PipelineConfig()
+    cfg.grids.fine_nx, cfg.grids.recon_nx, cfg.grids.coeff_n = 64, 32, 12
+    cfg.trajectory.L = 200
+    specs = {s.name: s for s in builtin_suite()}
+    cases = [simulate_case(cfg, specs[name]) for name in ("disk", "bar", "k_thin")]
+    builds = []
+    init = core_stage.CoreSystem.__init__
+    monkeypatch.setattr(core_stage.CoreSystem, "__init__",
+                        lambda self, problem: builds.append(1) or init(self, problem))
+    res = run_experiment(cfg, cases, 2, GridSpec(values=(0.5, 0.05, 0.005)),
+                         run_deconv_stage=False)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    for case, (name, p, s) in zip(cases, res.core_scores):
+        ref_p, ref_s = score_pair(run_core(cfg, case.series, lam=res.lam, order=2)[1],
+                                  case.u_gt)
+        assert name == case.name
+        assert p == pytest.approx(ref_p, abs=1e-9) and s == pytest.approx(ref_s, abs=1e-10)

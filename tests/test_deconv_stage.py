@@ -8,7 +8,7 @@ from scipy import fft as sfft
 from mpirecon.deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
                                    build_convolution_operator, denoise, deconvolve,
                                    estimate_sigma, hqs_deconvolve,
-                                   quadratic_deconvolve, tikhonov_step)
+                                   quadratic_deconvolve, tikhonov_step, _periodic_solve)
 from mpirecon.fields import ScalarField, cell_centers
 from mpirecon.forward import trace_response_field
 from mpirecon.kernels import KernelParams, kernel_trace
@@ -76,6 +76,33 @@ def test_operator_matches_direct_summation():
     direct *= area
     got = op.apply(x)
     assert np.max(np.abs(got - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (12, 12)])
+def test_operator_matches_direct_summation_on_grid(shape):
+    nx, ny = shape
+    op = build_convolution_operator(PARAMS, nx, ny)
+    x = np.random.default_rng(11).normal(size=(nx, ny))
+    xs, ys = cell_centers(nx), cell_centers(ny)
+    direct = np.zeros((nx, ny))
+    for i in range(nx):
+        for j in range(ny):
+            for a in range(nx):
+                for b in range(ny):
+                    direct[i, j] += x[a, b] * kernel_trace((xs[i] - xs[a], ys[j] - ys[b]),
+                                                           PARAMS)
+    direct *= (2.0 / nx) * (2.0 / ny)
+    assert np.max(np.abs(op.apply(x) - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (12, 12), (11, 9)])
+def test_real_fft_preconditioner_equals_complex(shape):
+    op = build_convolution_operator(PARAMS, *shape)
+    r = np.random.default_rng(12).normal(size=shape)
+    nu = 0.03
+    complex_fft = np.real(sfft.ifft2(sfft.fft2(r) / (np.abs(op.periodic_spectrum) ** 2 + nu)))
+    got = _periodic_solve(r, op.periodic_power + nu)
+    assert np.max(np.abs(got - complex_fft)) <= 1e-13 * np.max(np.abs(complex_fft))
 
 
 def test_operator_agrees_with_forward_module():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from mpirecon.fields import MatrixField, ScalarField, cell_centers
-from mpirecon.forward import (ScanSeries, add_noise, core_response_field,
-                              evaluate_field, read_series_csv, simulate_series,
-                              simulate_signal, trace_response_field,
-                              write_series_csv)
+from mpirecon.forward import (ScanSeries, add_noise, convolve_same, core_response_field,
+                              evaluate_field, mirror_stencil, offset_grids,
+                              read_series_csv, simulate_series, simulate_signal,
+                              stencil_spectrum, trace_response_field, write_series_csv)
 from mpirecon.kernels import KernelParams, kernel_matrix_components, kernel_trace
 from mpirecon.trajectory import LissajousSpec, make_scan
 
@@ -66,6 +67,56 @@ def test_convolution_matches_direct_summation():
                         (xs[i] - xs[a], xs[j] - xs[b]), PARAMS)
     direct *= rho.cell_area
     assert np.max(np.abs(direct - u.values)) < 1e-10 * np.max(np.abs(direct))
+
+
+def full_offset_grids(nx, ny):
+    """All (2nx-1, 2ny-1) grid offsets, evaluated directly (test reference)."""
+    dx = (np.arange(2 * nx - 1) - (nx - 1)) * (2.0 / nx)
+    dy = (np.arange(2 * ny - 1) - (ny - 1)) * (2.0 / ny)
+    return np.meshgrid(dx, dy, indexing="ij")
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_mirrored_stencils_equal_full_evaluation(n):
+    # k11, k22 and kappa_h are even in each axis, k12 is odd: bitwise equal
+    full = kernel_matrix_components(*full_offset_grids(n, n), PARAMS)
+    quad = kernel_matrix_components(*offset_grids(n, n), PARAMS)
+    for f, q, parity in zip(full, quad, (1.0, -1.0, 1.0)):
+        np.testing.assert_array_equal(mirror_stencil(q, parity), f)
+    np.testing.assert_array_equal(mirror_stencil(kernel_trace(offset_grids(n, n), PARAMS)),
+                                  kernel_trace(full_offset_grids(n, n), PARAMS))
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (12, 12)])
+def test_convolve_same_matches_direct_summation(shape):
+    # one even and one odd stencil on a non-square and a square grid
+    nx, ny = shape
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=shape)
+    xs, ys = cell_centers(nx), cell_centers(ny)
+    k11, k12, _ = kernel_matrix_components(*offset_grids(nx, ny), PARAMS)
+    stencils = np.stack([mirror_stencil(k11), mirror_stencil(k12, -1.0)])
+    got = convolve_same(x, stencil_spectrum(stencils))
+    direct = np.zeros((2, nx, ny))
+    for i in range(nx):
+        for j in range(ny):
+            for a in range(nx):
+                for b in range(ny):
+                    c11, c12, _ = kernel_matrix_components(xs[i] - xs[a], ys[j] - ys[b],
+                                                           PARAMS)
+                    direct[:, i, j] += x[a, b] * np.array([c11, c12])
+    for g, d in zip(got, direct):
+        assert np.max(np.abs(g - d)) < 1e-12 * np.max(np.abs(d))
+
+
+def test_core_response_matches_fftconvolve_reference():
+    n = 64
+    rho = ScalarField(np.random.default_rng(10).uniform(size=(n, n)))
+    A = core_response_field(rho, PARAMS)
+    stencils = kernel_matrix_components(*full_offset_grids(n, n), PARAMS)
+    for (a, b), k in zip([(0, 0), (0, 1), (1, 1)], stencils):
+        ref = fftconvolve(rho.values, k, mode="same") * rho.cell_area
+        assert np.max(np.abs(A.values[:, :, a, b] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_evaluate_field_contracts():

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mpirecon.fields import (ScalarField, bilinear_sample, cell_centers,
+from mpirecon.config import PipelineConfig
+from mpirecon.fields import (FormatError, ScalarField, bilinear_sample, cell_centers,
                              load_field, resample_bilinear, save_field)
 from mpirecon.phantom import (annulus, bar, builtin_suite, disk, from_file,
                               k_stroke, rasterize)
+from mpirecon.pipeline import phantom_spec
 
 
 def test_disk_radius_zero_is_empty():
@@ -84,7 +88,7 @@ def test_pgm_round_trip_dimensions_and_quantization(tmp_path):
 def test_pgm_malformed_header(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n4 4\n255\n" + b"\x00" * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_field(str(path))
 
 
@@ -93,7 +97,7 @@ def test_pgm_missing_sidecar(tmp_path):
     path = str(tmp_path / "f.pgm")
     save_field(f, path)
     (tmp_path / "f.range").unlink()
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_field(path)
 
 
@@ -101,7 +105,7 @@ def test_pgm_truncated_raster(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n8 8\n65535\n" + b"\x00" * 10)
     (tmp_path / "short.range").write_text("0.0 1.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_field(str(path))
 
 
@@ -136,3 +140,14 @@ def test_resample_preserves_smooth_fields():
     xs32 = cell_centers(32)
     expected = np.add.outer(np.sin(2 * xs32), np.cos(xs32))
     assert np.max(np.abs(g.values - expected)) < 2e-3
+
+
+def test_pipeline_phantom_kinds_resolve_from_the_suite():
+    cfg = PipelineConfig()
+    cfg.phantom.intensity = 0.5
+    for spec in builtin_suite() + [k_stroke()]:
+        cfg.phantom.kind = spec.name
+        assert phantom_spec(cfg) == replace(spec, intensity=0.5)
+    cfg.phantom.kind = "k_medium"
+    with pytest.raises(ValueError, match="unknown phantom kind"):
+        phantom_spec(cfg)

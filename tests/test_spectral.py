@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpirecon.fields import MatrixField, cell_centers
+from mpirecon.fields import FormatError, MatrixField, cell_centers
 from mpirecon.spectral import (CoeffTensor, analyze, analyze_scalar, basis_matrix_1d,
                                cos_eval, cos_norm, eval_basis_row, laplace_eigenvalue,
                                load_coeffs, save_coeffs, sin_eval, synthesize,
@@ -163,9 +163,13 @@ def test_coeff_file_round_trip(tmp_path):
 def test_coeff_file_errors(tmp_path):
     bad = tmp_path / "bad.mpic"
     bad.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_coeffs(str(bad))
     trunc = tmp_path / "trunc.mpic"
     trunc.write_bytes(b"MPIC" + np.array([1, 8, 8], "<u4").tobytes() + b"\x00" * 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_coeffs(str(trunc))
+    short = tmp_path / "short.mpic"
+    short.write_bytes(b"MPIC\x01\x00")
+    with pytest.raises(FormatError):
+        load_coeffs(str(short))

@@ -3,8 +3,7 @@ import pytest
 
 from mpirecon.trajectory import (LissajousSpec, ScanGeometry, lissajous_position,
                                  lissajous_velocity, make_scan, merge_scans,
-                                 read_geometry_csv, rotate_scan, sample_schedule,
-                                 write_geometry_csv)
+                                 rotate_scan, sample_schedule)
 
 
 def test_position_velocity_at_zero():
@@ -85,18 +84,6 @@ def test_merged_scan_covers_more_cells():
     occ_a, occ_b, occ_m = cell_occupancy(a), cell_occupancy(b), cell_occupancy(merged)
     assert len(occ_m) > len(occ_a)
     assert len(occ_m) > len(occ_b)
-
-
-def test_geometry_csv_round_trip(tmp_path):
-    geom = make_scan(LissajousSpec(), 50)
-    path = tmp_path / "geom.csv"
-    write_geometry_csv(geom, str(path))
-    header = path.read_text().splitlines()[0]
-    assert header == "t,rx,ry,vx,vy"
-    back = read_geometry_csv(str(path))
-    np.testing.assert_array_equal(back.times, geom.times)
-    np.testing.assert_array_equal(back.positions, geom.positions)
-    np.testing.assert_array_equal(back.velocities, geom.velocities)
 
 
 def test_spec_validation():
