@@ -10,7 +10,7 @@ suite checks the eigenbasis identities the method relies on.
 from .config import PipelineConfig, load_config
 from .core_stage import CoreProblem, CoreSolution, solve_core, trace_field
 from .deconv_stage import (DeconvProblem, DenoiserSpec, build_convolution_operator,
-                           hqs_deconvolve, quadratic_deconvolve, tikhonov_step)
+                           hqs_deconvolve, tikhonov_step)
 from .fields import MatrixField, ScalarField, load_field, resample_bilinear, save_field
 from .forward import ScanSeries, add_noise, core_response_field, simulate_signal
 from .kernels import KernelParams, f1, f2, kernel_matrix, kernel_trace, langevin

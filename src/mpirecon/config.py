@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .kernels import DEFAULT_SERIES_THRESHOLD
-
 
 class ConfigError(ValueError):
     """Bad configuration file or override string."""
@@ -27,7 +25,6 @@ class ConfigError(ValueError):
 @dataclass
 class KernelConfig:
     h: float = 0.01
-    series_threshold: float = DEFAULT_SERIES_THRESHOLD
 
 
 @dataclass
@@ -55,7 +52,6 @@ class CoreConfig:
 
 @dataclass
 class DeconvConfig:
-    mode: str = "hqs"
     mu: float = 0.01
     nu0: float = 1.0
     iters: int = 8
@@ -63,7 +59,6 @@ class DeconvConfig:
     denoiser_width: float = 0.3
     external_command: str = ""
     timeout: float = 60.0
-    clamp_nonneg: bool = False
 
 
 @dataclass

@@ -33,6 +33,8 @@ from .kernels import KernelParams, kernel_trace
 
 log = logging.getLogger(__name__)
 
+CG_MAX_ITER = 1000  # cap on CG iterations per Tikhonov step
+
 
 class ConvolutionOperator:
     """Linear (zero-padded) 2D convolution with a full-stencil kernel.
@@ -48,7 +50,6 @@ class ConvolutionOperator:
             raise ValueError("kernel must cover all grid offsets")
         if not np.allclose(kernel, kernel[::-1, ::-1], rtol=1e-12, atol=0.0):
             raise ValueError("kernel must be point-symmetric")
-        self.shape = (nx, ny)
         self._khat = stencil_spectrum(kernel)
         # periodic (wrapped) kernel spectrum, used for preconditioning
         wrapped = np.zeros(shape)
@@ -57,7 +58,7 @@ class ConvolutionOperator:
         np.add.at(wrapped, (ix[:, None], iy[None, :]), kernel)
         self.periodic_spectrum = sfft.fft2(wrapped)
         # |periodic spectrum|^2 on the rfft2 half plane; real, and Hermitian
-        # symmetric, so the circulant preconditioners need only rfft2/irfft2
+        # symmetric, so the circulant preconditioner needs only rfft2/irfft2
         self.periodic_power = np.abs(self.periodic_spectrum[:, : ny // 2 + 1]) ** 2
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -79,7 +80,7 @@ def _periodic_solve(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return sfft.irfft2(sfft.rfft2(r) / denom, r.shape)
 
 
-def _pcg(apply_a, b, start, precond, tol, max_iter):
+def _pcg(apply_a, b, start, precond, tol):
     """Preconditioned CG from the iterate start; returns (x, iterations, converged)."""
     x = start.copy()
     r = b - apply_a(x)
@@ -91,7 +92,7 @@ def _pcg(apply_a, b, start, precond, tol, max_iter):
     z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z))
-    for it in range(1, max_iter + 1):
+    for it in range(1, CG_MAX_ITER + 1):
         ap = apply_a(p)
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
@@ -102,12 +103,11 @@ def _pcg(apply_a, b, start, precond, tol, max_iter):
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, max_iter, False
+    return x, CG_MAX_ITER, False
 
 
 def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
-                  op: ConvolutionOperator, tol: float = 1e-8,
-                  max_iter: int = 1000) -> ScalarField:
+                  op: ConvolutionOperator, tol: float = 1e-8) -> ScalarField:
     """argmin ||u - C rho||^2 + nu ||rho - rho2||^2 via CG on the normal eqs.
 
     Warm-started at rho2, with a circulant preconditioner built from the
@@ -124,7 +124,7 @@ def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
     def precond(r):
         return _periodic_solve(r, denom)
 
-    x, iters, ok = _pcg(apply_a, b, rho2.values, precond, tol, max_iter)
+    x, iters, ok = _pcg(apply_a, b, rho2.values, precond, tol)
     if not ok:
         log.warning("tikhonov_step: CG hit the iteration cap (%d)", iters)
     return ScalarField(x)
@@ -147,6 +147,10 @@ class DenoiserSpec:
             raise ValueError(f"unknown denoiser kind {self.kind!r}")
         if self.kind == "external" and not self.command:
             raise ValueError("external denoiser needs a command")
+        if not self.width_factor >= 0:  # 0 is the identity blur
+            raise ValueError("denoiser width_factor must be >= 0")
+        if not self.timeout > 0:
+            raise ValueError("denoiser timeout must be positive")
 
 
 def denoise(rho: ScalarField, sigma: float, spec: DenoiserSpec) -> ScalarField:
@@ -192,18 +196,12 @@ class DeconvProblem:
     nu0: float = 1.0
     iters: int = 8
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
-    mode: str = "hqs"
-    clamp_nonneg: bool = False
-    cg_tol: float = 1e-8
-    cg_max_iter: int = 1000
 
     def __post_init__(self):
         if not self.mu > 0 or not self.nu0 > 0:
             raise ValueError("mu and nu0 must be positive")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.mode not in ("hqs", "quadratic"):
-            raise ValueError("mode must be 'hqs' or 'quadratic'")
 
 
 def hqs_deconvolve(problem: DeconvProblem,
@@ -224,60 +222,8 @@ def hqs_deconvolve(problem: DeconvProblem,
         if not np.isfinite(nu):  # sigma collapsed to 0: infinite coupling
             rho1 = ScalarField(rho2.values.copy())
         else:
-            rho1 = tikhonov_step(u, rho2, nu, op, problem.cg_tol,
-                                 problem.cg_max_iter)
+            rho1 = tikhonov_step(u, rho2, nu, op)
         sigma = estimate_sigma(rho1)
         nu = problem.mu / (sigma * sigma) if sigma > 0.0 else np.inf
         rho2 = denoise(rho1, sigma, problem.denoiser)
-    if problem.clamp_nonneg:
-        return ScalarField(np.maximum(rho2.values, 0.0))
     return rho2
-
-
-def _neumann_laplacian(x: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """D^T D for forward differences with zero-flux boundaries (5-point stencil)."""
-    out = np.zeros_like(x)
-    dx = np.diff(x, axis=0) / hx
-    out[:-1] -= dx / hx
-    out[1:] += dx / hx
-    dy = np.diff(x, axis=1) / hy
-    out[:, :-1] -= dy / hy
-    out[:, 1:] += dy / hy
-    return out
-
-
-def quadratic_deconvolve(u: ScalarField, params: KernelParams, mu: float,
-                         tol: float = 1e-8, max_iter: int = 2000,
-                         op: ConvolutionOperator | None = None) -> ScalarField:
-    """Baseline: minimize mu ||grad rho||^2 + ||C rho - u||^2 by CG."""
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    if op is None:
-        op = build_convolution_operator(params, u.nx, u.ny)
-    hx, hy = 2.0 / u.nx, 2.0 / u.ny
-    b = op.apply(u.values)
-    # periodic symbols of C^T C and the Laplacian, for the preconditioner
-    kx = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(u.nx) / u.nx)) / hx ** 2
-    ky = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(u.ny // 2 + 1) / u.ny)) / hy ** 2
-    denom = op.periodic_power + mu * (kx[:, None] + ky[None, :])
-    denom[0, 0] += mu  # the constant mode is unseen by the gradient penalty
-
-    def apply_a(x):
-        return op.apply(op.apply(x)) + mu * _neumann_laplacian(x, hx, hy)
-
-    def precond(r):
-        return _periodic_solve(r, denom)
-
-    x, iters, ok = _pcg(apply_a, b, np.zeros_like(b), precond, tol, max_iter)
-    if not ok:
-        log.warning("quadratic_deconvolve: CG hit the iteration cap (%d)", iters)
-    return ScalarField(x)
-
-
-def deconvolve(problem: DeconvProblem,
-               op: ConvolutionOperator | None = None) -> ScalarField:
-    """Dispatch on problem.mode."""
-    if problem.mode == "quadratic":
-        return quadratic_deconvolve(problem.u, problem.params, problem.mu,
-                                    problem.cg_tol, problem.cg_max_iter, op)
-    return hqs_deconvolve(problem, op)

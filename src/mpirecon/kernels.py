@@ -5,10 +5,10 @@ The matrix kernel is the gradient of y -> L(|y|/h) y/|y|,
 
     K_h(y) = (1/h) f1(|y|/h) I + (1/h) f2(|y|/h) (y/|y|)(y/|y|)^T,
 
-with f1(z) = L(z)/z and f2(z) = L'(z) - f1(z).  Its pointwise trace is
-kappa_h(y) = (1/h) f(|y|/h) with f = n*f1 + f2 in n spatial dimensions.
+with f1(z) = L(z)/z and f2(z) = L'(z) - f1(z).  Its pointwise trace in
+the plane is kappa_h(y) = (1/h) f(|y|/h) with f = 2*f1 + f2.
 
-All coefficient functions switch to Taylor series below ``series_threshold``:
+All coefficient functions switch to Taylor series below ``SERIES_THRESHOLD``:
 the closed forms lose roughly 2*log10(1/z) digits to cancellation near zero
 while the series truncation error is far below machine epsilon there.
 """
@@ -19,27 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default switch point between closed forms and series.  At z = 1e-2 the two
+# Switch point between closed forms and series.  At z = 1e-2 the two
 # branches agree to ~2e-12 (cancellation) while the series is accurate to
 # ~1e-15 (truncation); smaller thresholds let cancellation error through.
-DEFAULT_SERIES_THRESHOLD = 1e-2
+SERIES_THRESHOLD = 1e-2
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Resolution parameter h > 0, dimension n in {2, 3}, series switch point."""
+    """Resolution parameter h > 0."""
 
     h: float
-    n: int = 2
-    series_threshold: float = DEFAULT_SERIES_THRESHOLD
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if self.n not in (2, 3):
-            raise ValueError(f"n must be 2 or 3, got {self.n}")
-        if not self.series_threshold > 0:
-            raise ValueError("series_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -57,8 +51,8 @@ class SymMat2:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
-def _langevin_arr(z: np.ndarray, threshold: float) -> np.ndarray:
-    small = np.abs(z) < threshold
+def _langevin_arr(z: np.ndarray) -> np.ndarray:
+    small = np.abs(z) < SERIES_THRESHOLD
     zs = np.where(small, 1.0, z)  # dummy value avoids 0/0 in the closed branch
     closed = 1.0 / np.tanh(zs) - 1.0 / zs
     z2 = z * z
@@ -66,8 +60,8 @@ def _langevin_arr(z: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(small, series, closed)
 
 
-def _f1_arr(z: np.ndarray, threshold: float) -> np.ndarray:
-    small = np.abs(z) < threshold
+def _f1_arr(z: np.ndarray) -> np.ndarray:
+    small = np.abs(z) < SERIES_THRESHOLD
     zs = np.where(small, 1.0, z)
     closed = (1.0 / np.tanh(zs) - 1.0 / zs) / zs
     z2 = z * z
@@ -75,8 +69,8 @@ def _f1_arr(z: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(small, series, closed)
 
 
-def _f2_arr(z: np.ndarray, threshold: float) -> np.ndarray:
-    small = np.abs(z) < threshold
+def _f2_arr(z: np.ndarray) -> np.ndarray:
+    small = np.abs(z) < SERIES_THRESHOLD
     zs = np.where(small, 1.0, z)
     # L'(z) = 1/z^2 - csch^2(z); sinh overflows harmlessly to inf for large z
     with np.errstate(over="ignore"):
@@ -87,27 +81,22 @@ def _f2_arr(z: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(small, series, closed)
 
 
-def langevin(z, threshold: float = DEFAULT_SERIES_THRESHOLD):
+def langevin(z):
     """L(z) = coth(z) - 1/z, odd, with series z/3 - z^3/45 + 2z^5/945 near 0."""
-    out = _langevin_arr(np.asarray(z, dtype=float), threshold)
+    out = _langevin_arr(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
-def f1(z, threshold: float = DEFAULT_SERIES_THRESHOLD):
+def f1(z):
     """f1(z) = L(z)/z; series 1/3 - z^2/45 + 2z^4/945 near 0."""
-    out = _f1_arr(np.asarray(z, dtype=float), threshold)
+    out = _f1_arr(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
-def f2(z, threshold: float = DEFAULT_SERIES_THRESHOLD):
+def f2(z):
     """f2(z) = L'(z) - f1(z); series -2z^2/45 + 8z^4/945 near 0."""
-    out = _f2_arr(np.asarray(z, dtype=float), threshold)
+    out = _f2_arr(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
-
-
-def _f_trace(z: np.ndarray, n: int, threshold: float) -> np.ndarray:
-    """f(z) = n*f1(z) + f2(z), the trace coefficient."""
-    return n * _f1_arr(z, threshold) + _f2_arr(z, threshold)
 
 
 def kernel_matrix_components(yx, yy, params: KernelParams):
@@ -120,8 +109,8 @@ def kernel_matrix_components(yx, yy, params: KernelParams):
     yy = np.asarray(yy, dtype=float)
     r = np.hypot(yx, yy)
     z = r / params.h
-    g1 = _f1_arr(z, params.series_threshold) / params.h
-    g2 = _f2_arr(z, params.series_threshold) / params.h
+    g1 = _f1_arr(z) / params.h
+    g2 = _f2_arr(z) / params.h
     rsafe = np.where(r == 0.0, 1.0, r)
     ux = yx / rsafe
     uy = yy / rsafe
@@ -145,5 +134,5 @@ def kernel_trace(y, params: KernelParams):
     yx = np.asarray(y[0], dtype=float)
     yy = np.asarray(y[1], dtype=float)
     z = np.hypot(yx, yy) / params.h
-    out = _f_trace(z, params.n, params.series_threshold) / params.h
+    out = (2 * _f1_arr(z) + _f2_arr(z)) / params.h
     return out if out.ndim else float(out)

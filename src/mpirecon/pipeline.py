@@ -9,15 +9,16 @@ over the neighboring magnitudes of the best coarse hit.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import phantom as ph
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .core_stage import CoreProblem, CoreSolution, CoreSystem, solve_core, trace_field
 from .deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
-                           build_convolution_operator, deconvolve)
+                           build_convolution_operator, hqs_deconvolve)
 from .fields import ScalarField, resample_bilinear
 from .forward import ScanSeries, core_response_field, simulate_series
 from .kernels import KernelParams
@@ -26,33 +27,45 @@ from .spectral import CoeffTensor
 from .trajectory import LissajousSpec, ScanGeometry, make_scan, merge_scans, rotate_scan
 
 
+@contextmanager
+def _config_values(section: str):
+    """Report a domain class's own ValueError on config values as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad {section} configuration: {exc}") from exc
+
+
 def kernel_params(cfg: PipelineConfig) -> KernelParams:
-    return KernelParams(cfg.kernel.h, 2, cfg.kernel.series_threshold)
+    with _config_values("kernel"):
+        return KernelParams(cfg.kernel.h)
 
 
 def scan_geometry(cfg: PipelineConfig) -> ScanGeometry:
-    spec = LissajousSpec(cfg.trajectory.freq_x, cfg.trajectory.freq_y,
-                         cfg.trajectory.phase_x, cfg.trajectory.phase_y)
-    geom = make_scan(spec, cfg.trajectory.L)
-    if cfg.trajectory.merge_rotated:
-        geom = merge_scans(geom, rotate_scan(geom, 1))
+    t = cfg.trajectory
+    with _config_values("trajectory"):
+        geom = make_scan(LissajousSpec(t.freq_x, t.freq_y, t.phase_x, t.phase_y), t.L)
+        if t.merge_rotated:
+            geom = merge_scans(geom, rotate_scan(geom, 1))
     return geom
 
 
 def phantom_spec(cfg: PipelineConfig) -> ph.PhantomSpec:
     kind = cfg.phantom.kind
-    if kind == "from_file":
-        return ph.from_file(cfg.phantom.path, intensity=cfg.phantom.intensity)
     builtins = {spec.name: spec for spec in (*ph.builtin_suite(), ph.k_stroke())}
-    if kind in builtins:
-        return replace(builtins[kind], intensity=cfg.phantom.intensity)
-    raise ValueError(f"unknown phantom kind {kind!r}")
+    with _config_values("phantom"):
+        if kind == "from_file":
+            return ph.from_file(cfg.phantom.path, intensity=cfg.phantom.intensity)
+        if kind in builtins:
+            return replace(builtins[kind], intensity=cfg.phantom.intensity)
+        raise ValueError(f"unknown phantom kind {kind!r}")
 
 
 def denoiser_spec(cfg: PipelineConfig) -> DenoiserSpec:
     d = cfg.deconv
-    return DenoiserSpec(d.denoiser, d.denoiser_width, d.external_command,
-                        d.timeout)
+    with _config_values("deconv"):
+        return DenoiserSpec(d.denoiser, d.denoiser_width, d.external_command,
+                            d.timeout)
 
 
 @dataclass
@@ -75,8 +88,9 @@ def simulate_case(cfg: PipelineConfig, spec: ph.PhantomSpec | None = None) -> Si
     n_rec = cfg.grids.recon_nx
     rho = ph.rasterize(spec, n_fine, n_fine)
     A = core_response_field(rho, params)
-    series = simulate_series(A, scan_geometry(cfg), cfg.noise.fraction,
-                             cfg.noise.seed)
+    geom = scan_geometry(cfg)
+    with _config_values("noise"):
+        series = simulate_series(A, geom, cfg.noise.fraction, cfg.noise.seed)
     u_gt = ideal_trace(rho, params, n_rec, n_rec)
     return SimCase(spec.name or spec.kind, rho, series, u_gt,
                    resample_bilinear(rho, n_rec, n_rec))
@@ -85,9 +99,10 @@ def simulate_case(cfg: PipelineConfig, spec: ph.PhantomSpec | None = None) -> Si
 def core_problem(cfg: PipelineConfig, series: ScanSeries, lam: float | None = None,
                  order: int | None = None) -> CoreProblem:
     n = cfg.grids.coeff_n
-    return CoreProblem(series, N=n, M=n,
-                       order=cfg.core.order if order is None else order,
-                       lam=cfg.core.lam if lam is None else lam)
+    with _config_values("core"):
+        return CoreProblem(series, N=n, M=n,
+                           order=cfg.core.order if order is None else order,
+                           lam=cfg.core.lam if lam is None else lam)
 
 
 def run_core(cfg: PipelineConfig, series: ScanSeries, **kw) -> tuple[CoreSolution, ScalarField]:
@@ -99,15 +114,15 @@ def run_core(cfg: PipelineConfig, series: ScanSeries, **kw) -> tuple[CoreSolutio
 def deconv_problem(cfg: PipelineConfig, trace: ScalarField,
                    mu: float | None = None) -> DeconvProblem:
     d = cfg.deconv
-    return DeconvProblem(trace, kernel_params(cfg),
-                         mu=d.mu if mu is None else mu, nu0=d.nu0,
-                         iters=d.iters, denoiser=denoiser_spec(cfg),
-                         mode=d.mode, clamp_nonneg=d.clamp_nonneg)
+    params, denoiser = kernel_params(cfg), denoiser_spec(cfg)
+    with _config_values("deconv"):
+        return DeconvProblem(trace, params, mu=d.mu if mu is None else mu,
+                             nu0=d.nu0, iters=d.iters, denoiser=denoiser)
 
 
 def run_deconv(cfg: PipelineConfig, trace: ScalarField, mu: float | None = None,
                op: ConvolutionOperator | None = None) -> ScalarField:
-    return deconvolve(deconv_problem(cfg, trace, mu), op)
+    return hqs_deconvolve(deconv_problem(cfg, trace, mu), op)
 
 
 @dataclass
@@ -317,11 +332,3 @@ def run_experiment(cfg: PipelineConfig, cases: list[SimCase], order: int,
             result.deconv_scores.append((case.name, p, s))
             result.recons[case.name] = rho
     return result
-
-
-def write_scores_csv(path: str, rows) -> None:
-    """Rows of (phantom, stage, order, psnr, ssim)."""
-    with open(path, "w") as fh:
-        fh.write("phantom,stage,order,psnr,ssim\n")
-        for name, stage, order, p, s in rows:
-            fh.write(f"{name},{stage},{order},{p!r},{s!r}\n")

@@ -118,29 +118,33 @@ class CoeffTensor:
         return cls(np.zeros((N, M, 2, 2)))
 
 
+def _contract(px: np.ndarray, c: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """out[i, j, ...] = sum_ab px[a, i] c[a, b, ...] py[b, j], one mode axis at a time."""
+    t = np.tensordot(px, c, axes=(0, 0))   # (i, b, ...)
+    t = np.tensordot(t, py, axes=(1, 0))   # (i, ..., j)
+    return np.moveaxis(t, -1, 1)
+
+
 def synthesize_scalar(coeffs: np.ndarray, nx: int, ny: int) -> ScalarField:
     """Evaluate sum_m c_m-normalized cosine expansion at the cell centers."""
     N, M = coeffs.shape
     Px = basis_matrix_1d(N, cell_centers(nx))  # (N, nx)
     Py = basis_matrix_1d(M, cell_centers(ny))  # (M, ny)
-    return ScalarField(Px.T @ coeffs @ Py)
+    return ScalarField(_contract(Px, coeffs, Py))
 
 
 def analyze_scalar(f: ScalarField) -> np.ndarray:
     """Inverse of :func:`synthesize_scalar` with N = nx, M = ny."""
     Px = basis_matrix_1d(f.nx, cell_centers(f.nx))
     Py = basis_matrix_1d(f.ny, cell_centers(f.ny))
-    return f.cell_area * (Px @ f.values @ Py.T)
+    return f.cell_area * _contract(Px.T, f.values, Py.T)
 
 
 def synthesize(coeffs: CoeffTensor, nx: int, ny: int) -> MatrixField:
     """Matrix field A(x_i, y_j) = sum_m A_m u_m(x_i, y_j)."""
     Px = basis_matrix_1d(coeffs.N, cell_centers(nx))
     Py = basis_matrix_1d(coeffs.M, cell_centers(ny))
-    # contract mode axes one at a time (separable tensor-product basis)
-    t = np.tensordot(Px, coeffs.coeffs, axes=(0, 0))   # (nx, M, 2, 2)
-    vals = np.tensordot(t, Py, axes=(1, 0))            # (nx, 2, 2, ny)
-    return MatrixField(np.moveaxis(vals, 3, 1))
+    return MatrixField(_contract(Px, coeffs.coeffs, Py))
 
 
 def analyze(field: MatrixField) -> CoeffTensor:
@@ -149,9 +153,7 @@ def analyze(field: MatrixField) -> CoeffTensor:
     Px = basis_matrix_1d(nx, cell_centers(nx))
     Py = basis_matrix_1d(ny, cell_centers(ny))
     w = (2.0 / nx) * (2.0 / ny)
-    t = np.tensordot(Px, field.values, axes=(1, 0))    # (N, ny, 2, 2)
-    c = np.tensordot(t, Py, axes=(1, 1))               # (N, 2, 2, M)
-    return CoeffTensor(w * np.moveaxis(c, 3, 1))
+    return CoeffTensor(w * _contract(Px.T, field.values, Py.T))
 
 
 _MAGIC = b"MPIC"

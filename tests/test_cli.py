@@ -33,7 +33,10 @@ def test_config_file_and_overrides(tmp_path):
         apply_overrides(cfg, ["core.lambda"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["trajectory.merge_rotated=maybe"])
-    for key in ("core.tol", "core.max_iter", "core.ridge"):  # the core solve is exact
+    # the core solve is exact, HQS is the only deconvolution method, and the
+    # kernels' series switch is a fixed constant
+    for key in ("core.tol", "core.max_iter", "core.ridge", "deconv.mode",
+                "deconv.clamp_nonneg", "kernel.series_threshold"):
         with pytest.raises(ConfigError):
             apply_overrides(cfg, [f"{key}=1"])
 
@@ -178,6 +181,34 @@ def test_usage_and_io_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
     assert main(["--preset", "nope", "simulate", "--out", str(tmp_path / "x")]) == 1
     assert main(["--set", "core.tol=1e-8", "simulate", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.fixture(scope="module")
+def fast_scan(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("scan"))
+    assert main(FAST + ["simulate", "--out", out]) == 0
+    return os.path.join(out, "scan.csv")
+
+
+@pytest.mark.parametrize("command,override", [
+    ("reconstruct", "core.order=3"),
+    ("reconstruct", "core.lambda=0"),
+    ("reconstruct", "deconv.mu=-1"),
+    ("reconstruct", "deconv.iters=0"),
+    ("reconstruct", "deconv.denoiser=bogus"),
+    ("reconstruct", "deconv.denoiser_width=-1"),
+    ("simulate", "kernel.h=0"),
+    ("simulate", "trajectory.L=0"),
+    ("simulate", "noise.fraction=-0.1"),
+    ("simulate", "phantom.kind=bogus"),
+])
+def test_out_of_range_config_values_exit_1(fast_scan, tmp_path, capsys, command, override):
+    # a value the domain classes reject is a usage error (1), not a
+    # numerical failure (2)
+    args = [fast_scan] if command == "reconstruct" else []
+    argv = FAST + ["--set", override, command, *args, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_malformed_input_files_exit_3(tmp_path, capsys):

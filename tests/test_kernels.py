@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mpirecon.kernels import (KernelParams, SymMat2, f1, f2, kernel_matrix,
-                              kernel_matrix_components, kernel_trace, langevin)
+from mpirecon.kernels import (SERIES_THRESHOLD, KernelParams, SymMat2, f1, f2,
+                              kernel_matrix, kernel_matrix_components, kernel_trace,
+                              langevin)
 
 # high-precision reference values (40-digit mpmath, frozen)
 LANGEVIN_1 = 0.31303528549933130364
@@ -58,7 +59,7 @@ def test_f1_f2_against_finite_difference_oracle():
 
 
 def test_series_continuity_at_threshold():
-    thr = KernelParams(h=0.01).series_threshold
+    thr = SERIES_THRESHOLD
     eps = 1e-12
     # crossing the switch changes values by less than 1e-10
     assert abs(f1(thr * (1 - eps)) - f1(thr * (1 + eps))) < 1e-10
@@ -122,18 +123,13 @@ def test_trace_kernel_positive_and_radial():
 
 
 def test_trace_kernel_value_at_origin():
-    # f(0) = n * 1/3 + 0
-    assert kernel_trace((0.0, 0.0), KernelParams(h=0.01, n=2)) == pytest.approx(200.0 / 3.0)
-    assert kernel_trace((0.0, 0.0), KernelParams(h=0.01, n=3)) == pytest.approx(100.0)
+    # f(0) = 2 * 1/3 + 0
+    assert kernel_trace((0.0, 0.0), KernelParams(h=0.01)) == pytest.approx(200.0 / 3.0)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         KernelParams(h=0.0)
-    with pytest.raises(ValueError):
-        KernelParams(h=0.01, n=4)
-    with pytest.raises(ValueError):
-        KernelParams(h=0.01, series_threshold=0.0)
 
 
 def test_symmat2_trace():
