@@ -17,8 +17,7 @@ from .kernels import KernelParams, f1, f2, kernel_matrix, kernel_trace, langevin
 from .metrics import ideal_trace, psnr, ssim
 from .phantom import PhantomSpec, builtin_suite, rasterize
 from .rng import SeededGenerator
-from .spectral import (CoeffTensor, analyze, cos_eval, cos_norm, eval_basis_row,
-                       laplace_eigenvalue, sin_eval, synthesize)
+from .spectral import CoeffTensor, analyze, cos_eval, cos_norm, laplace_eigenvalue, synthesize
 from .trajectory import (LissajousSpec, ScanGeometry, lissajous_position,
                          lissajous_velocity, merge_scans, rotate_scan, sample_schedule)
 

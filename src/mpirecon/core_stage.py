@@ -41,6 +41,8 @@ class CoreProblem:
     lam: float = 0.01
 
     def __post_init__(self):
+        if self.N < 1 or self.M < 1:
+            raise ValueError("the coefficient grid needs N, M >= 1")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         if not self.lam > 0:

@@ -9,10 +9,12 @@ data step with a denoising step:
 
 C is the linear (zero-padded) discrete convolution with kappa_h, applied by
 the forward model's FFT routine, and the Tikhonov subproblem is solved by
-CG on the normal equations with a circulant (periodic-kernel)
-preconditioner.  The denoiser is pluggable: the built-in choice is a
-Gaussian blur keyed to sigma, and an external-process protocol lets a
-learned denoiser drop in without code changes.
+CG on the normal equations, preconditioned with T. Chan's optimal circulant
+approximation of C.  The first iteration does not depend on mu, so a search
+over mu computes it once per trace (``hqs_first_step``).  The denoiser is
+pluggable: the built-in choice is a Gaussian blur keyed to sigma, and an
+external-process protocol lets a learned denoiser drop in without code
+changes.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .kernels import KernelParams, kernel_trace
 log = logging.getLogger(__name__)
 
 CG_MAX_ITER = 1000  # cap on CG iterations per Tikhonov step
+CG_TOL = 1e-6       # relative residual at which a Tikhonov step's CG stops
 
 
 class ConvolutionOperator:
@@ -51,18 +54,28 @@ class ConvolutionOperator:
         if not np.allclose(kernel, kernel[::-1, ::-1], rtol=1e-12, atol=0.0):
             raise ValueError("kernel must be point-symmetric")
         self._khat = stencil_spectrum(kernel)
-        # periodic (wrapped) kernel spectrum, used for preconditioning
-        wrapped = np.zeros(shape)
-        ix = (np.arange(kernel.shape[0]) - (nx - 1)) % nx
-        iy = (np.arange(kernel.shape[1]) - (ny - 1)) % ny
-        np.add.at(wrapped, (ix[:, None], iy[None, :]), kernel)
-        self.periodic_spectrum = sfft.fft2(wrapped)
-        # |periodic spectrum|^2 on the rfft2 half plane; real, and Hermitian
-        # symmetric, so the circulant preconditioner needs only rfft2/irfft2
-        self.periodic_power = np.abs(self.periodic_spectrum[:, : ny // 2 + 1]) ** 2
+        # spectrum of the periodic (wrapped) kernel
+        self.periodic_spectrum = sfft.fft2(_wrap(kernel, shape))
+        # |c|^2 on the rfft2 half plane, c the spectrum of T. Chan's optimal
+        # circulant: the wrap with offset k weighted by (n - |k|) / n per
+        # axis.  The preconditioner of C^2 + nu I is 1 / (|c|^2 + nu).
+        wx = 1.0 - np.abs(np.arange(1 - nx, nx)) / nx
+        wy = 1.0 - np.abs(np.arange(1 - ny, ny)) / ny
+        optimal = _wrap(kernel * np.outer(wx, wy), shape)
+        self.periodic_power = np.abs(sfft.rfft2(optimal)) ** 2
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return convolve_same(x, self._khat)
+
+
+def _wrap(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Fold offsets -(n-1)..(n-1) of each axis onto the circular indices: k -> k mod n."""
+    nx, ny = shape
+    rows = kernel[nx - 1:].copy()
+    rows[1:] += kernel[: nx - 1]
+    out = rows[:, ny - 1:].copy()
+    out[:, 1:] += rows[:, : ny - 1]
+    return out
 
 
 def build_convolution_operator(params: KernelParams, nx: int,
@@ -107,11 +120,13 @@ def _pcg(apply_a, b, start, precond, tol):
 
 
 def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
-                  op: ConvolutionOperator, tol: float = 1e-8) -> ScalarField:
+                  op: ConvolutionOperator, tol: float = CG_TOL,
+                  start: ScalarField | None = None) -> ScalarField:
     """argmin ||u - C rho||^2 + nu ||rho - rho2||^2 via CG on the normal eqs.
 
-    Warm-started at rho2, with a circulant preconditioner built from the
-    periodic kernel spectrum.  Logs a warning when the iteration cap is hit.
+    CG starts at ``start`` (default rho2) and stops at relative residual
+    ``tol``, with T. Chan's circulant preconditioner.  Logs a warning when
+    the iteration cap is hit.
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
@@ -124,7 +139,8 @@ def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
     def precond(r):
         return _periodic_solve(r, denom)
 
-    x, iters, ok = _pcg(apply_a, b, rho2.values, precond, tol)
+    x0 = rho2.values if start is None else start.values
+    x, iters, ok = _pcg(apply_a, b, x0, precond, tol)
     if not ok:
         log.warning("tikhonov_step: CG hit the iteration cap (%d)", iters)
     return ScalarField(x)
@@ -198,32 +214,53 @@ class DeconvProblem:
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
 
     def __post_init__(self):
-        if not self.mu > 0 or not self.nu0 > 0:
-            raise ValueError("mu and nu0 must be positive")
+        if not self.mu > 0 or not 0 < self.nu0 < np.inf:
+            raise ValueError("mu must be positive and nu0 positive and finite")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
 
 
-def hqs_deconvolve(problem: DeconvProblem,
-                   op: ConvolutionOperator | None = None) -> ScalarField:
+@dataclass(frozen=True)
+class FirstStep:
+    """The first HQS iteration: data iterate, its sigma, denoised iterate."""
+
+    rho1: ScalarField
+    sigma: float
+    rho2: ScalarField
+
+
+def hqs_first_step(problem: DeconvProblem, op: ConvolutionOperator) -> FirstStep:
+    """HQS iteration 1 (nu = nu0 from rho2 = 0); it does not depend on mu."""
+    u = problem.u
+    rho1 = tikhonov_step(u, ScalarField.zeros(u.nx, u.ny), problem.nu0, op)
+    sigma = estimate_sigma(rho1)
+    return FirstStep(rho1, sigma, denoise(rho1, sigma, problem.denoiser))
+
+
+def hqs_deconvolve(problem: DeconvProblem, op: ConvolutionOperator | None = None,
+                   first: FirstStep | None = None) -> ScalarField:
     """Run the HQS loop; deterministic given the problem and denoiser spec.
 
     The coupling follows nu_k = mu / sigma_k^2 with sigma estimated from the
     data iterate (sigma_0 comes from nu0).  A constant iterate gives
     sigma = 0, which short-circuits the denoiser to the identity and the
-    next data step to rho1 = rho2 (the infinite-coupling limit).
+    next data step to rho1 = rho2 (the infinite-coupling limit).  Each data
+    step after the first starts CG at the previous data iterate.  ``first``
+    is ``hqs_first_step`` of a problem with the same trace, nu0 and
+    denoiser; the result is the same as without it.
     """
     u = problem.u
     if op is None:
         op = build_convolution_operator(problem.params, u.nx, u.ny)
-    rho2 = ScalarField.zeros(u.nx, u.ny)
-    nu = problem.nu0  # equivalently sigma_0 = sqrt(mu/nu0)
-    for _ in range(problem.iters):
+    if first is None:
+        first = hqs_first_step(problem, op)
+    rho1, sigma, rho2 = first.rho1, first.sigma, first.rho2
+    for _ in range(problem.iters - 1):
+        nu = problem.mu / (sigma * sigma) if sigma > 0.0 else np.inf
         if not np.isfinite(nu):  # sigma collapsed to 0: infinite coupling
             rho1 = ScalarField(rho2.values.copy())
         else:
-            rho1 = tikhonov_step(u, rho2, nu, op)
+            rho1 = tikhonov_step(u, rho2, nu, op, start=rho1)
         sigma = estimate_sigma(rho1)
-        nu = problem.mu / (sigma * sigma) if sigma > 0.0 else np.inf
         rho2 = denoise(rho1, sigma, problem.denoiser)
     return rho2

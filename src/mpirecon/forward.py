@@ -15,7 +15,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .fields import FormatError, MatrixField, ScalarField, bilinear_sample
-from .kernels import KernelParams, SymMat2, kernel_matrix_components, kernel_trace
+from .kernels import KernelParams, kernel_matrix_components, kernel_trace
 from .rng import SeededGenerator
 from .trajectory import ScanGeometry
 
@@ -108,13 +108,6 @@ def trace_response_field(rho: ScalarField, params: KernelParams) -> ScalarField:
     """kappa_h * rho, the scalar (trace) convolution, computed independently."""
     ker = mirror_stencil(kernel_trace(offset_grids(rho.nx, rho.ny), params))
     return ScalarField(convolve_same(rho.values, stencil_spectrum(ker)) * rho.cell_area)
-
-
-def evaluate_field(A: MatrixField, p) -> SymMat2:
-    """Bilinear interpolation of all channels at a single point p in Omega."""
-    vals = bilinear_sample(A.values, np.asarray(p[0]), np.asarray(p[1]))
-    return SymMat2(float(vals[0, 0]), float(0.5 * (vals[0, 1] + vals[1, 0])),
-                   float(vals[1, 1]))
 
 
 def simulate_signal(A: MatrixField, geom: ScanGeometry) -> np.ndarray:

@@ -18,8 +18,8 @@ from . import phantom as ph
 from .config import ConfigError, PipelineConfig
 from .core_stage import CoreProblem, CoreSolution, CoreSystem, solve_core, trace_field
 from .deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
-                           build_convolution_operator, hqs_deconvolve)
-from .fields import ScalarField, resample_bilinear
+                           build_convolution_operator, hqs_deconvolve, hqs_first_step)
+from .fields import FormatError, ScalarField, resample_bilinear
 from .forward import ScanSeries, core_response_field, simulate_series
 from .kernels import KernelParams
 from .metrics import ideal_trace, score_pair
@@ -29,9 +29,14 @@ from .trajectory import LissajousSpec, ScanGeometry, make_scan, merge_scans, rot
 
 @contextmanager
 def _config_values(section: str):
-    """Report a domain class's own ValueError on config values as a ConfigError."""
+    """Report a domain class's own ValueError on config values as a ConfigError.
+
+    A malformed input file named by the config stays a FormatError (I/O).
+    """
     try:
         yield
+    except FormatError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad {section} configuration: {exc}") from exc
 
@@ -86,14 +91,15 @@ def simulate_case(cfg: PipelineConfig, spec: ph.PhantomSpec | None = None) -> Si
     params = kernel_params(cfg)
     n_fine = cfg.grids.fine_nx
     n_rec = cfg.grids.recon_nx
-    rho = ph.rasterize(spec, n_fine, n_fine)
+    with _config_values("grids"):
+        rho = ph.rasterize(spec, n_fine, n_fine)
+        rho_gt_recon = resample_bilinear(rho, n_rec, n_rec)
     A = core_response_field(rho, params)
     geom = scan_geometry(cfg)
     with _config_values("noise"):
         series = simulate_series(A, geom, cfg.noise.fraction, cfg.noise.seed)
     u_gt = ideal_trace(rho, params, n_rec, n_rec)
-    return SimCase(spec.name or spec.kind, rho, series, u_gt,
-                   resample_bilinear(rho, n_rec, n_rec))
+    return SimCase(spec.name or spec.kind, rho, series, u_gt, rho_gt_recon)
 
 
 def core_problem(cfg: PipelineConfig, series: ScanSeries, lam: float | None = None,
@@ -108,7 +114,8 @@ def core_problem(cfg: PipelineConfig, series: ScanSeries, lam: float | None = No
 def run_core(cfg: PipelineConfig, series: ScanSeries, **kw) -> tuple[CoreSolution, ScalarField]:
     sol = solve_core(core_problem(cfg, series, **kw))
     n_rec = cfg.grids.recon_nx
-    return sol, trace_field(sol.coeffs, n_rec, n_rec)
+    with _config_values("grids"):
+        return sol, trace_field(sol.coeffs, n_rec, n_rec)
 
 
 def deconv_problem(cfg: PipelineConfig, trace: ScalarField,
@@ -120,9 +127,15 @@ def deconv_problem(cfg: PipelineConfig, trace: ScalarField,
                              nu0=d.nu0, iters=d.iters, denoiser=denoiser)
 
 
-def run_deconv(cfg: PipelineConfig, trace: ScalarField, mu: float | None = None,
-               op: ConvolutionOperator | None = None) -> ScalarField:
-    return hqs_deconvolve(deconv_problem(cfg, trace, mu), op)
+def convolution_operator(cfg: PipelineConfig, n: int) -> ConvolutionOperator:
+    """The deconvolution operator on the n x n grid."""
+    params = kernel_params(cfg)
+    with _config_values("grids"):
+        return build_convolution_operator(params, n, n)
+
+
+def run_deconv(cfg: PipelineConfig, trace: ScalarField, mu: float | None = None) -> ScalarField:
+    return hqs_deconvolve(deconv_problem(cfg, trace, mu), convolution_operator(cfg, trace.nx))
 
 
 @dataclass
@@ -259,25 +272,42 @@ def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
     return _search_traces(_core_traces(cfg, cases, order), cases, spec)
 
 
+def _deconv_recons(cfg: PipelineConfig, traces: list[ScalarField]):
+    """A function mu -> the traces' deconvolutions, in trace order.
+
+    The traces share one convolution operator, and each trace's first HQS
+    iteration, which does not depend on mu, is computed once.
+    """
+    op = convolution_operator(cfg, traces[0].nx) if traces else None
+    firsts = [None] * len(traces)
+
+    def recons(mu: float) -> list[ScalarField]:
+        out = []
+        for i, trace in enumerate(traces):
+            problem = deconv_problem(cfg, trace, mu)
+            if firsts[i] is None:
+                firsts[i] = hqs_first_step(problem, op)
+            out.append(hqs_deconvolve(problem, op, firsts[i]))
+        return out
+
+    return recons
+
+
+def _search_recons(recons_at, gts: list[ScalarField], spec: GridSpec | None) -> SearchResult:
+    """Two-step mu search on the mean deconvolution PSNR against gts."""
+
+    def score(mu: float) -> tuple[float, float]:
+        psnrs, ssims = zip(*(score_pair(rho, gt) for rho, gt in zip(recons_at(mu), gts)))
+        return float(np.mean(psnrs)), float(np.mean(ssims))
+
+    return _two_step(spec or GridSpec(), score)
+
+
 def search_mu(cfg: PipelineConfig, traces: list[tuple[ScalarField, ScalarField]],
               spec: GridSpec | None = None) -> SearchResult:
     """Pick mu maximizing mean deconvolution PSNR over (trace, rho_gt) pairs."""
-    spec = spec or GridSpec()
-    op = None
-    if traces:
-        n = traces[0][0].nx
-        op = build_convolution_operator(kernel_params(cfg), n, n)
-
-    def score(mu: float) -> tuple[float, float]:
-        psnrs, ssims = [], []
-        for trace, rho_gt in traces:
-            rho = run_deconv(cfg, trace, mu=mu, op=op)
-            p, s = score_pair(rho, rho_gt)
-            psnrs.append(p)
-            ssims.append(s)
-        return float(np.mean(psnrs)), float(np.mean(ssims))
-
-    return _two_step(spec, score)
+    return _search_recons(_deconv_recons(cfg, [tr for tr, _ in traces]),
+                          [gt for _, gt in traces], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +345,17 @@ def run_experiment(cfg: PipelineConfig, cases: list[SimCase], order: int,
     traces_at = _core_traces(cfg, cases, order)
     lam = _search_traces(traces_at, cases, lambda_spec).best_value
     result = OrderScores(order, lam, float("nan"))
-    traces = []
-    for case, tr in zip(cases, traces_at(lam)):
+    traces = traces_at(lam)
+    for case, tr in zip(cases, traces):
         p, s = score_pair(tr, case.u_gt)
         result.core_scores.append((case.name, p, s))
         result.traces[case.name] = tr
-        traces.append((tr, case.rho_gt_recon))
     if run_deconv_stage:
-        mu_res = search_mu(cfg, traces, mu_spec)
-        result.mu = mu_res.best_value
-        op = build_convolution_operator(kernel_params(cfg), cfg.grids.recon_nx,
-                                        cfg.grids.recon_nx)
-        for case in cases:
-            rho = run_deconv(cfg, result.traces[case.name], mu=result.mu, op=op)
-            p, s = score_pair(rho, case.rho_gt_recon)
+        recons_at = _deconv_recons(cfg, traces)
+        gts = [case.rho_gt_recon for case in cases]
+        result.mu = _search_recons(recons_at, gts, mu_spec).best_value
+        for case, rho, gt in zip(cases, recons_at(result.mu), gts):
+            p, s = score_pair(rho, gt)
             result.deconv_scores.append((case.name, p, s))
             result.recons[case.name] = rho
     return result

@@ -61,8 +61,3 @@ class SeededGenerator:
         theta = 2.0 * np.pi * u2
         return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
-
-def normal_pair(gen: SeededGenerator) -> tuple[float, float]:
-    """Two independent standard-normal reals from the generator."""
-    pair = gen.normal_pairs(1)[0]
-    return float(pair[0]), float(pair[1])

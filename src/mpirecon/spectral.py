@@ -1,4 +1,4 @@
-"""Tensor-product cosine/sine eigenbasis on the square [-1,1]^2.
+"""Tensor-product cosine eigenbasis on the square [-1,1]^2.
 
 Modes are pairs m = (m1, m2) of non-negative integers.  The cosine family
 
@@ -49,17 +49,6 @@ def cos_eval(m, x, y):
     return out if out.ndim else float(out)
 
 
-def sin_eval(m, x, y):
-    """Dirichlet eigenfunction v_m(x, y); requires m1, m2 >= 1 (unit L2 norm)."""
-    m1, m2 = m
-    if m1 < 1 or m2 < 1:
-        raise ValueError("sine modes need m1, m2 >= 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.sin(0.5 * np.pi * m1 * (x + 1.0)) * np.sin(0.5 * np.pi * m2 * (y + 1.0))
-    return out if out.ndim else float(out)
-
-
 def laplace_eigenvalue(m) -> float:
     """mu_m = (pi^2/4)(m1^2 + m2^2); the Bi-Laplacian eigenvalue is mu_m^2."""
     m1, m2 = m
@@ -82,14 +71,6 @@ def basis_matrix_1d(n_modes: int, points: np.ndarray) -> np.ndarray:
     table = np.cos(0.5 * np.pi * np.outer(k, points + 1.0))
     table[0] *= _SQRT1_2
     return table
-
-
-def eval_basis_row(points, m) -> np.ndarray:
-    """u_m evaluated at a list of 2-vector points."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if np.max(np.abs(pts)) > 1.0 + 1e-12:
-        raise ValueError("points must lie in Omega")
-    return cos_eval(m, pts[:, 0], pts[:, 1])
 
 
 @dataclass

@@ -201,6 +201,10 @@ def fast_scan(tmp_path_factory):
     ("simulate", "trajectory.L=0"),
     ("simulate", "noise.fraction=-0.1"),
     ("simulate", "phantom.kind=bogus"),
+    ("reconstruct", "grids.coeff_n=0"),
+    ("reconstruct", "grids.recon_nx=4"),
+    ("simulate", "grids.fine_nx=4"),
+    ("simulate", "grids.recon_nx=0"),
 ])
 def test_out_of_range_config_values_exit_1(fast_scan, tmp_path, capsys, command, override):
     # a value the domain classes reject is a usage error (1), not a
@@ -221,4 +225,7 @@ def test_malformed_input_files_exit_3(tmp_path, capsys):
     scan.write_text("# h=0.01 fraction=0.0 seed=0\nt,rx,ry,vx,vy,sx\n"
                     "0.0,0.1,0.2,1.0,0.0,0.5\n0.5,0.2,0.1,0.0,1.0,0.5\n")
     assert main(FAST + ["reconstruct", str(scan), "--out", str(tmp_path / "rec")]) == 3
+    # a malformed phantom file stays an I/O error where the config names it
+    assert main(FAST + ["--set", "phantom.kind=from_file", "--set", f"phantom.path={pgm}",
+                        "simulate", "--out", str(tmp_path / "sim")]) == 3
     assert "i/o error" in capsys.readouterr().err

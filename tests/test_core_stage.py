@@ -220,6 +220,8 @@ def test_invalid_problems_rejected():
         CoreProblem(series, lam=0.0)
     with pytest.raises(ValueError):
         CoreProblem(series, order=3)
+    with pytest.raises(ValueError, match="N, M"):
+        CoreProblem(series, N=0)
     with pytest.raises(ValueError):
         CoreSystem(CoreProblem(series, N=4, M=4)).solve(series.signals[None], 0.0)
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from mpirecon.deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
+from mpirecon.deconv_stage import (CG_TOL, ConvolutionOperator, DeconvProblem, DenoiserSpec,
                                    build_convolution_operator, denoise, estimate_sigma,
-                                   hqs_deconvolve, tikhonov_step, _periodic_solve)
+                                   hqs_deconvolve, hqs_first_step, tikhonov_step,
+                                   _periodic_solve)
 from mpirecon.fields import ScalarField, cell_centers
 from mpirecon.forward import trace_response_field
 from mpirecon.kernels import KernelParams, kernel_trace
@@ -22,6 +23,19 @@ def gaussian_operator(n, std_cells=1.5):
     ker = np.outer(g, g)
     ker /= ker.sum()
     return ConvolutionOperator(ker, (n, n))
+
+
+def optimal_circulant_eigenvalues(op, shape):
+    """diag(F T F*) of the operator's dense matrix T, F the unitary 2D DFT.
+
+    These are the eigenvalues of T. Chan's optimal circulant approximation
+    of T, the circulant closest to T in the Frobenius norm.
+    """
+    nx, ny = shape
+    cols = [op.apply(e.reshape(shape)).ravel() for e in np.eye(nx * ny)]
+    T = np.stack(cols, axis=1)
+    F = np.kron(sfft.fft(np.eye(nx), norm="ortho"), sfft.fft(np.eye(ny), norm="ortho"))
+    return np.einsum("ij,jk,ik->i", F, T, F.conj()).reshape(shape)
 
 
 def test_operator_delta_reproduces_kernel():
@@ -96,12 +110,28 @@ def test_operator_matches_direct_summation_on_grid(shape):
 
 @pytest.mark.parametrize("shape", [(9, 12), (12, 12), (11, 9)])
 def test_real_fft_preconditioner_equals_complex(shape):
+    # the rfft2 solve with periodic_power is the complex solve with the
+    # T. Chan circulant's spectrum c: (|c|^2 + nu)^-1 r
     op = build_convolution_operator(PARAMS, *shape)
+    c = optimal_circulant_eigenvalues(op, shape)
     r = np.random.default_rng(12).normal(size=shape)
     nu = 0.03
-    complex_fft = np.real(sfft.ifft2(sfft.fft2(r) / (np.abs(op.periodic_spectrum) ** 2 + nu)))
+    complex_fft = np.real(sfft.ifft2(sfft.fft2(r) / (np.abs(c) ** 2 + nu)))
     got = _periodic_solve(r, op.periodic_power + nu)
     assert np.max(np.abs(got - complex_fft)) <= 1e-13 * np.max(np.abs(complex_fft))
+
+
+def test_periodic_power_is_optimal_circulant_spectrum():
+    # odd x even grid and a generic point-symmetric kernel
+    nx, ny = 6, 7
+    ker = np.random.default_rng(13).normal(size=(2 * nx - 1, 2 * ny - 1))
+    op = ConvolutionOperator(ker + ker[::-1, ::-1], (nx, ny))
+    want = np.abs(optimal_circulant_eigenvalues(op, (nx, ny))[:, : ny // 2 + 1]) ** 2
+    assert op.periodic_power.shape == want.shape
+    assert np.max(np.abs(op.periodic_power - want)) <= 1e-12 * np.max(want)
+    # the plain wrap-sum spectrum is a different circulant
+    plain = np.abs(op.periodic_spectrum[:, : ny // 2 + 1]) ** 2
+    assert np.max(np.abs(plain - want)) > 1e-3 * np.max(want)
 
 
 def test_operator_agrees_with_forward_module():
@@ -148,11 +178,31 @@ def test_tikhonov_normal_equation_optimality():
     u = ScalarField(rng.normal(size=(n, n)))
     rho2 = ScalarField(rng.normal(size=(n, n)))
     nu = 0.03
-    rho = tikhonov_step(u, rho2, nu, op)
-    resid = (op.apply(op.apply(rho.values)) + nu * rho.values
-             - op.apply(u.values) - nu * rho2.values)
     rhs = op.apply(u.values) + nu * rho2.values
-    assert np.linalg.norm(resid) <= 1.01e-8 * np.linalg.norm(rhs)
+
+    def resid(rho):
+        return (op.apply(op.apply(rho.values)) + nu * rho.values - rhs)
+
+    rho = tikhonov_step(u, rho2, nu, op, tol=1e-8)
+    assert np.linalg.norm(resid(rho)) <= 1.01e-8 * np.linalg.norm(rhs)
+    rho = tikhonov_step(u, rho2, nu, op)
+    assert np.linalg.norm(resid(rho)) <= 1.01 * CG_TOL * np.linalg.norm(rhs)
+
+
+def test_tikhonov_start_changes_only_the_path():
+    # the start moves the CG path, not the minimizer it converges to
+    n = 24
+    op = build_convolution_operator(PARAMS, n, n)
+    rng = np.random.default_rng(15)
+    u = ScalarField(rng.normal(size=(n, n)))
+    rho2 = ScalarField(np.zeros((n, n)))
+    exact = tikhonov_step(u, rho2, 0.03, op, tol=1e-13)
+    near = ScalarField(exact.values + 1e-6 * rng.normal(size=(n, n)))
+    got = tikhonov_step(u, rho2, 0.03, op, tol=1e-10, start=near)
+    assert np.max(np.abs(got.values - exact.values)) < 1e-8 * np.max(np.abs(exact.values))
+    np.testing.assert_array_equal(
+        tikhonov_step(u, rho2, 0.03, op, start=rho2).values,
+        tikhonov_step(u, rho2, 0.03, op).values)
 
 
 def test_tikhonov_matches_periodic_fourier_oracle():
@@ -272,6 +322,42 @@ def test_hqs_sigma_zero_short_circuit():
     assert np.all(out.values == 0.0)
 
 
+def test_hqs_shared_first_step_is_bitwise_identical():
+    # the first iteration depends on the trace, nu0 and the denoiser only, so
+    # one computed under another mu gives the same bits as a plain run
+    n = 20
+    op = build_convolution_operator(PARAMS, n, n)
+    u = ScalarField(np.random.default_rng(16).normal(size=(n, n)))
+    first = hqs_first_step(DeconvProblem(u, PARAMS, mu=5.0, nu0=1.0, iters=4), op)
+    for mu in (0.1, 0.001):
+        p = DeconvProblem(u, PARAMS, mu=mu, nu0=1.0, iters=4)
+        np.testing.assert_array_equal(hqs_deconvolve(p, op, first).values,
+                                      hqs_deconvolve(p, op).values)
+
+
+def test_search_mu_rows_equal_independent_deconvolutions():
+    from mpirecon.config import PipelineConfig
+    from mpirecon.metrics import score_pair
+    from mpirecon.phantom import builtin_suite
+    from mpirecon.pipeline import GridSpec, run_core, run_deconv, search_mu, simulate_case
+    cfg = PipelineConfig()
+    cfg.grids.fine_nx, cfg.grids.recon_nx, cfg.grids.coeff_n = 64, 32, 12
+    cfg.trajectory.L = 200
+    cfg.deconv.iters = 4
+    specs = {s.name: s for s in builtin_suite()}
+    pairs = []
+    for name in ("disk", "k_thin"):
+        case = simulate_case(cfg, specs[name])
+        pairs.append((run_core(cfg, case.series, lam=0.01)[1], case.rho_gt_recon))
+    mus = (0.1, 0.01, 0.001)
+    res = search_mu(cfg, pairs, GridSpec(values=mus))
+    assert [v for v, _, _ in res.rows] == list(mus)
+    for mu, psnr_mean, ssim_mean in res.rows:
+        scores = [score_pair(run_deconv(cfg, tr, mu), gt) for tr, gt in pairs]
+        assert psnr_mean == float(np.mean([p for p, _ in scores]))
+        assert ssim_mean == float(np.mean([s for _, s in scores]))
+
+
 def test_hqs_deterministic():
     n = 20
     rng = np.random.default_rng(12)
@@ -321,6 +407,8 @@ def test_problem_validation_and_dispatch():
         DeconvProblem(u, PARAMS, mu=0.0)
     with pytest.raises(ValueError):
         DeconvProblem(u, PARAMS, iters=0)
+    with pytest.raises(ValueError):
+        DeconvProblem(u, PARAMS, nu0=np.inf)
     with pytest.raises(ValueError):
         DenoiserSpec(kind="external")
 

@@ -4,7 +4,7 @@ from scipy.signal import fftconvolve
 
 from mpirecon.fields import MatrixField, ScalarField, cell_centers
 from mpirecon.forward import (ScanSeries, add_noise, convolve_same, core_response_field,
-                              evaluate_field, mirror_stencil, offset_grids,
+                              mirror_stencil, offset_grids,
                               read_series_csv, simulate_series, simulate_signal,
                               stencil_spectrum, trace_response_field, write_series_csv)
 from mpirecon.kernels import KernelParams, kernel_matrix_components, kernel_trace
@@ -117,22 +117,6 @@ def test_core_response_matches_fftconvolve_reference():
     for (a, b), k in zip([(0, 0), (0, 1), (1, 1)], stencils):
         ref = fftconvolve(rho.values, k, mode="same") * rho.cell_area
         assert np.max(np.abs(A.values[:, :, a, b] - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_evaluate_field_contracts():
-    n = 16
-    xs = cell_centers(n)
-    vals = np.zeros((n, n, 2, 2))
-    vals[:, :, 0, 0] = np.add.outer(xs, np.zeros(n))      # linear in x
-    vals[:, :, 1, 1] = 7.0                                 # constant
-    A = MatrixField(vals)
-    m = evaluate_field(A, (xs[4], xs[9]))
-    assert m.a11 == pytest.approx(xs[4])
-    assert m.a22 == pytest.approx(7.0)
-    mid = evaluate_field(A, (0.5 * (xs[4] + xs[5]), xs[0]))
-    assert mid.a11 == pytest.approx(0.5 * (xs[4] + xs[5]))
-    with pytest.raises(ValueError):
-        evaluate_field(A, (1.2, 0.0))
 
 
 def test_simulate_signal_zero_cases():

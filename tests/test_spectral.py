@@ -3,9 +3,8 @@ import pytest
 
 from mpirecon.fields import FormatError, MatrixField, cell_centers
 from mpirecon.spectral import (CoeffTensor, analyze, analyze_scalar, basis_matrix_1d,
-                               cos_eval, cos_norm, eval_basis_row, laplace_eigenvalue,
-                               load_coeffs, save_coeffs, sin_eval, synthesize,
-                               synthesize_scalar)
+                               cos_eval, cos_norm, laplace_eigenvalue, load_coeffs,
+                               save_coeffs, synthesize, synthesize_scalar)
 
 
 def quadrature_norm(m, n=256):
@@ -126,26 +125,6 @@ def test_synthesize_off_grid_truncation():
             gx, gy = np.meshgrid(xs, ys, indexing="ij")
             direct += coeffs[k, l] * cos_eval((k, l), gx, gy)
     assert np.max(np.abs(f.values - direct)) < 1e-12
-
-
-def test_eval_basis_row():
-    pts = [(-1.0, -1.0), (0.0, 0.5), (0.3, -0.2)]
-    row = eval_basis_row(pts, (0, 0))
-    np.testing.assert_allclose(row, 0.5)
-    row = eval_basis_row(pts, (2, 3))
-    assert row[0] == pytest.approx(cos_norm((2, 3)))
-    assert row[2] == pytest.approx(cos_eval((2, 3), 0.3, -0.2))
-    with pytest.raises(ValueError):
-        eval_basis_row([(2.0, 0.0)], (0, 0))
-
-
-def test_sine_family():
-    with pytest.raises(ValueError):
-        sin_eval((0, 1), 0.0, 0.0)
-    # vanishes on the boundary
-    ys = np.linspace(-1, 1, 17)
-    assert np.max(np.abs(sin_eval((2, 3), 1.0, ys))) < 1e-12
-    assert np.max(np.abs(sin_eval((2, 3), ys, -1.0))) < 1e-12
 
 
 def test_coeff_file_round_trip(tmp_path):
