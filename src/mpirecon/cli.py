@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, PipelineConfig, apply_overrides, apply_preset, load_config
 from .fields import FormatError, load_field, resample_bilinear, save_field
 from .forward import read_series_csv, write_series_csv
-from .metrics import psnr, ssim
+from .metrics import score_pair
 from .pipeline import (GridSpec, reconstruct, run_core, search_lambda,
                        search_mu, simulate_case)
 from .spectral import save_coeffs
@@ -124,30 +124,18 @@ def cmd_verify(out_path: str) -> int:
     return 0 if failed == 0 else 2
 
 
-def cmd_metrics(recon_path: str, gt_path: str, csv_path: str = "",
-                phantom: str = "", stage: str = "", order: int = 0) -> int:
+def cmd_metrics(recon_path: str, gt_path: str) -> int:
     """Score two PGM images; peak is the ground-truth dynamic range.
 
     A ground truth on another grid (the fine simulation grid) is first
-    resampled bilinearly onto the reconstruction grid.  With --csv, appends
-    a `phantom,stage,order,psnr,ssim` row (header added to new files) so
-    suite runs can accumulate a score table.
+    resampled bilinearly onto the reconstruction grid.
     """
     recon = load_field(recon_path)
     gt = load_field(gt_path)
     if (gt.nx, gt.ny) != (recon.nx, recon.ny):
         gt = resample_bilinear(gt, recon.nx, recon.ny)
-    peak = float(gt.values.max() - gt.values.min())
-    if peak == 0.0:
-        peak = 1.0
-    p = psnr(recon, gt, peak)
-    s = ssim(recon, gt, peak)
+    p, s = score_pair(recon, gt)
     print(f"psnr={p!r} ssim={s!r}")
-    if csv_path:
-        with open(csv_path, "a") as fh:
-            if fh.tell() == 0:
-                fh.write("phantom,stage,order,psnr,ssim\n")
-            fh.write(f"{phantom},{stage},{order},{p!r},{s!r}\n")
     return 0
 
 
@@ -180,10 +168,6 @@ def build_parser() -> _Parser:
     s = sub.add_parser("metrics", help="PSNR/SSIM between two PGM images")
     s.add_argument("reconstruction")
     s.add_argument("ground_truth")
-    s.add_argument("--csv", default="", help="append a score row to this CSV")
-    s.add_argument("--phantom", default="")
-    s.add_argument("--stage", default="")
-    s.add_argument("--order", type=int, default=0)
     return p
 
 
@@ -200,8 +184,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.out)
         if args.command == "metrics":
-            return cmd_metrics(args.reconstruction, args.ground_truth,
-                               args.csv, args.phantom, args.stage, args.order)
+            return cmd_metrics(args.reconstruction, args.ground_truth)
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

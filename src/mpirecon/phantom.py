@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, cell_centers, load_field, resample_bilinear, save_field
+from .fields import ScalarField, cell_centers, load_field, resample_bilinear
 
 __all__ = ["PhantomSpec", "KINDS", "disk", "bar", "annulus", "k_stroke", "from_file",
-           "builtin_suite", "rasterize", "load_field", "save_field"]
+           "builtin_suite", "rasterize"]
 
 KINDS = ("disk", "bar", "annulus", "k_stroke", "from_file")
 

@@ -9,13 +9,14 @@ over the neighboring magnitudes of the best coarse hit.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import phantom as ph
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, _coerce
 from .core_stage import CoreProblem, CoreSolution, CoreSystem, solve_core, trace_field
 from .deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
                            build_convolution_operator, hqs_deconvolve, hqs_first_step)
@@ -164,13 +165,17 @@ class GridSpec:
     refine: bool = True
     values: tuple = ()           # explicit grid; disables the two-step scheme
 
+    def __post_init__(self):
+        if not (self.values or (self.exponents and self.mantissas)):
+            raise ValueError("grid spec has no grid values")
+        if not all(math.isfinite(v) and v > 0 for v in (*self.values, *self.mantissas)):
+            raise ValueError("grid values and mantissas must be positive and finite")
+
     @staticmethod
     def parse(text: str) -> "GridSpec":
         """Parse ';'-separated entries, e.g. 'i=-3:1;j=1,5' or 'values=0.01,0.05'."""
-        spec = GridSpec()
-        if not text or text == "default":
-            return spec
-        for part in text.split(";"):
+        kw = {}
+        for part in ("" if text == "default" else text or "").split(";"):
             part = part.strip()
             if not part:
                 continue
@@ -178,54 +183,52 @@ class GridSpec:
             key = key.strip()
             if key == "i":
                 lo, _, hi = val.partition(":")
-                spec.exponents = tuple(range(int(lo), int(hi) + 1))
+                kw["exponents"] = tuple(range(int(lo), int(hi) + 1))
             elif key == "j":
-                spec.mantissas = tuple(float(v) for v in val.split(","))
+                kw["mantissas"] = tuple(float(v) for v in val.split(","))
             elif key == "refine":
-                spec.refine = val.strip().lower() in ("1", "true", "yes")
+                kw["refine"] = _coerce(True, val)
             elif key == "values":
-                spec.values = tuple(float(v) for v in val.split(","))
+                kw["values"] = tuple(float(v) for v in val.split(","))
             else:
                 raise ValueError(f"bad grid spec entry {part!r}")
-        return spec
+        return GridSpec(**kw)
 
 
 @dataclass
 class SearchResult:
     best_value: float
     best_score: float
-    rows: list = field(default_factory=list)   # (value, mean_psnr, mean_ssim)
+    rows: list = field(default_factory=list)      # (value, mean_psnr, mean_ssim)
+    outputs: list = field(default_factory=list)   # the best value's outputs
 
 
-def _two_step(spec: GridSpec, score_fn):
-    """Shared two-step search over the grid values; returns a SearchResult."""
-    cache: dict[float, tuple[float, float]] = {}
-    rows = []
+def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> SearchResult:
+    """Two-step search scoring outputs_at(v) by mean PSNR/SSIM against gts.
 
-    def eval_value(v):
-        if v not in cache:
-            cache[v] = score_fn(v)
-        rows.append((v, *cache[v]))
-        return cache[v][0]
+    Each grid value is evaluated once; a value the grid visits again adds a
+    row with its first scores.  The first value with the highest mean PSNR
+    wins, and the result keeps its outputs.
+    """
+    spec = spec or GridSpec()
+    scores: dict[float, tuple[float, float]] = {}
+    result = SearchResult(math.nan, math.nan)
 
-    if spec.values:
-        for v in sorted(spec.values, reverse=True):
-            eval_value(v)
-    else:
-        coarse = [(j, i) for i in spec.exponents for j in spec.mantissas]
-        coarse_vals = sorted({j * 10.0 ** i for j, i in coarse}, reverse=True)
-        for v in coarse_vals:
-            eval_value(v)
-        if spec.refine:
-            best = max(cache.items(), key=lambda kv: kv[1][0])[0]
-            i_star = int(np.floor(np.log10(best) + 1e-12))
-            refined = sorted({j * 10.0 ** i
-                              for i in (i_star - 1, i_star, i_star + 1)
-                              for j in range(1, 10)}, reverse=True)
-            for v in refined:
-                eval_value(v)
-    best_value = max(cache.items(), key=lambda kv: kv[1][0])[0]
-    return SearchResult(best_value, cache[best_value][0], rows)
+    def visit(values):
+        for v in sorted(values, reverse=True):
+            if v not in scores:
+                outputs = outputs_at(v)
+                psnrs, ssims = zip(*(score_pair(out, gt) for out, gt in zip(outputs, gts)))
+                scores[v] = float(np.mean(psnrs)), float(np.mean(ssims))
+                if len(scores) == 1 or scores[v][0] > result.best_score:
+                    result.best_value, result.best_score, result.outputs = v, scores[v][0], outputs
+            result.rows.append((v, *scores[v]))
+
+    visit(spec.values or {j * 10.0 ** i for i in spec.exponents for j in spec.mantissas})
+    if spec.refine and not spec.values:
+        i_star = int(np.floor(np.log10(result.best_value) + 1e-12))
+        visit({j * 10.0 ** i for i in (i_star - 1, i_star, i_star + 1) for j in range(1, 10)})
+    return result
 
 
 def _core_traces(cfg: PipelineConfig, cases: list[SimCase], order: int):
@@ -255,21 +258,10 @@ def _core_traces(cfg: PipelineConfig, cases: list[SimCase], order: int):
     return traces
 
 
-def _search_traces(traces_at, cases: list[SimCase], spec: GridSpec | None) -> SearchResult:
-    """Two-step lambda search on the mean trace PSNR against the cases' u_gt."""
-
-    def score(lam: float) -> tuple[float, float]:
-        psnrs, ssims = zip(*(score_pair(tr, case.u_gt)
-                             for tr, case in zip(traces_at(lam), cases)))
-        return float(np.mean(psnrs)), float(np.mean(ssims))
-
-    return _two_step(spec or GridSpec(), score)
-
-
 def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
                   spec: GridSpec | None = None) -> SearchResult:
     """Pick lambda maximizing the mean core-stage trace PSNR over the cases."""
-    return _search_traces(_core_traces(cfg, cases, order), cases, spec)
+    return _search(_core_traces(cfg, cases, order), [case.u_gt for case in cases], spec)
 
 
 def _deconv_recons(cfg: PipelineConfig, traces: list[ScalarField]):
@@ -293,21 +285,11 @@ def _deconv_recons(cfg: PipelineConfig, traces: list[ScalarField]):
     return recons
 
 
-def _search_recons(recons_at, gts: list[ScalarField], spec: GridSpec | None) -> SearchResult:
-    """Two-step mu search on the mean deconvolution PSNR against gts."""
-
-    def score(mu: float) -> tuple[float, float]:
-        psnrs, ssims = zip(*(score_pair(rho, gt) for rho, gt in zip(recons_at(mu), gts)))
-        return float(np.mean(psnrs)), float(np.mean(ssims))
-
-    return _two_step(spec or GridSpec(), score)
-
-
 def search_mu(cfg: PipelineConfig, traces: list[tuple[ScalarField, ScalarField]],
               spec: GridSpec | None = None) -> SearchResult:
     """Pick mu maximizing mean deconvolution PSNR over (trace, rho_gt) pairs."""
-    return _search_recons(_deconv_recons(cfg, [tr for tr, _ in traces]),
-                          [gt for _, gt in traces], spec)
+    return _search(_deconv_recons(cfg, [tr for tr, _ in traces]),
+                   [gt for _, gt in traces], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +323,17 @@ def run_experiment(cfg: PipelineConfig, cases: list[SimCase], order: int,
                    lambda_spec: GridSpec | None = None,
                    mu_spec: GridSpec | None = None,
                    run_deconv_stage: bool = True) -> OrderScores:
-    """Grid-search lambda (and mu), then score final solutions per phantom."""
-    traces_at = _core_traces(cfg, cases, order)
-    lam = _search_traces(traces_at, cases, lambda_spec).best_value
-    result = OrderScores(order, lam, float("nan"))
-    traces = traces_at(lam)
-    for case, tr in zip(cases, traces):
-        p, s = score_pair(tr, case.u_gt)
-        result.core_scores.append((case.name, p, s))
+    """Grid-search lambda (and mu), then score the winning outputs per phantom."""
+    lam = search_lambda(cfg, cases, order, lambda_spec)
+    result = OrderScores(order, lam.best_value, math.nan)
+    for case, tr in zip(cases, lam.outputs):
+        result.core_scores.append((case.name, *score_pair(tr, case.u_gt)))
         result.traces[case.name] = tr
     if run_deconv_stage:
-        recons_at = _deconv_recons(cfg, traces)
-        gts = [case.rho_gt_recon for case in cases]
-        result.mu = _search_recons(recons_at, gts, mu_spec).best_value
-        for case, rho, gt in zip(cases, recons_at(result.mu), gts):
-            p, s = score_pair(rho, gt)
-            result.deconv_scores.append((case.name, p, s))
+        mu = search_mu(cfg, [(tr, case.rho_gt_recon) for tr, case in zip(lam.outputs, cases)],
+                       mu_spec)
+        result.mu = mu.best_value
+        for case, rho in zip(cases, mu.outputs):
+            result.deconv_scores.append((case.name, *score_pair(rho, case.rho_gt_recon)))
             result.recons[case.name] = rho
     return result

@@ -171,16 +171,31 @@ def test_metrics_command(tmp_path, capsys):
     assert main(["metrics", gt, gt]) == 0
     out = capsys.readouterr().out
     assert "psnr=inf" in out and "ssim=1.0" in out
+    # the command only prints; it has no option to append to a score file
+    scores = tmp_path / "scores.csv"
+    assert main(["metrics", gt, gt, "--csv", str(scores)]) == 1
+    assert not scores.exists()
 
 
 def test_usage_and_io_exit_codes(tmp_path):
     assert main(["bogus-command"]) == 1
     assert main(["gridsearch", "lambda", "--grid", "nonsense=1",
-                 "--out", str(tmp_path)]) in (1, 2)
+                 "--out", str(tmp_path)]) == 1
     assert main(["reconstruct", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "o")]) == 3
     assert main(["--preset", "nope", "simulate", "--out", str(tmp_path / "x")]) == 1
     assert main(["--set", "core.tol=1e-8", "simulate", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("param", ["lambda", "mu"])
+@pytest.mark.parametrize("grid", ["i=3:-3", "values=0", "values=-1", "j=0", "j=-1",
+                                  "refine=banana"])
+def test_bad_grid_specs_exit_1(tmp_path, capsys, param, grid):
+    # an empty grid, a non-positive value or mantissa and a non-boolean
+    # refine are usage errors for both searches
+    assert main(FAST + ["gridsearch", param, "--grid", grid,
+                        "--out", str(tmp_path / "gs")]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
