@@ -8,12 +8,23 @@ The quadratic energy is
 
 with |Omega| = 4 and per-mode weights w_m = mu_m (order 1) or mu_m^2
 (order 2).  Each row of A_hat solves ((lambda/4) W + Phi^T Phi / L) x =
-Phi^T s / L with the design matrix Phi[l, (m, b)] = u_m(r_l) v_l[b].  One
-Cholesky factorization solves it exactly, in the 2NM primal unknowns or,
-when L is smaller, in the L dual weights alpha of the smoothing-spline
-representer form: (L I + (4/lambda) Phi_+ W_+^-1 Phi_+^T) alpha = s - Phi_0 x_0
-with x_+ = (4/lambda) W_+^-1 Phi_+^T alpha.  The unpenalized constant mode
-x_0 is split out and fixed by its 2x2 Schur complement.  The forward map
+Phi^T s / L with the design matrix Phi[l, (m, b)] = u_m(r_l) v_l[b].
+
+Samples at one position with parallel or antiparallel velocities give
+design rows that differ only by a signed scale, v_l = c_l v_g.  Such a group
+is merged into one row u(r_g) (x) (||c_g|| v_g) with signal
+sum_l c_l s_l / ||c_g||; this keeps Phi^T Phi and Phi^T s, hence the
+minimizer.  The cosine-phase Lissajous curve is time-reversal symmetric,
+r(1 - t) = r(t) and v(1 - t) = -v(t), so its samples pair up: an L-sample
+scan (L even) keeps K = L/2 + 1 rows, since the samples at t = 0 and t = 1/2
+are their own mirror images.
+
+One Cholesky factorization solves the merged system exactly, in the 2NM
+primal unknowns or, when K is smaller, in the K dual weights alpha of the
+smoothing-spline representer form:
+(L I + (4/lambda) Phi_+ W_+^-1 Phi_+^T) alpha = s - Phi_0 x_0 with
+x_+ = (4/lambda) W_+^-1 Phi_+^T alpha.  The unpenalized constant mode x_0 is
+split out and fixed by its 2x2 Schur complement.  The forward map
 factorizes through two 1D cosine tables thanks to the tensor-product basis.
 """
 
@@ -30,6 +41,7 @@ from .spectral import CoeffTensor, basis_matrix_1d, eigenvalue_grid, synthesize_
 
 OMEGA_AREA = 4.0
 RESIDUAL_TOL = 1e-8   # converged: the exact solve's residual is rounding only
+MERGE_TOL = 1e-12     # positions and velocity directions this close share a design row
 
 
 @dataclass
@@ -87,11 +99,7 @@ class CoreOperator:
 
     def apply_bt(self, sig: np.ndarray) -> np.ndarray:
         """Adjoint: (N, M, k, 2) from (L, k) signals; k = 2 for one series."""
-        N, M = self.shape[:2]
-        outer = sig[:, :, None] * self.v[:, None, :]                # (L, k, 2)
-        t = self.uy[:, :, None, None] * outer[None, :, :, :]        # (M, L, k, 2)
-        t = np.swapaxes(t, 0, 1).reshape(self.L, -1)
-        return (self.ux @ t).reshape(N, M, -1, 2)
+        return _adjoint(self.ux, self.uy, self.v, sig)
 
     def apply_h(self, coeffs: np.ndarray) -> np.ndarray:
         out = self.reg[:, :, None, None] * coeffs
@@ -106,6 +114,57 @@ class CoreOperator:
         resid = signals - self.apply_b(coeffs)
         reg = float(np.sum(self.reg[:, :, None, None] * coeffs ** 2)) / 2.0
         return reg + float(np.sum(resid ** 2)) / (2.0 * self.L)
+
+
+def _adjoint(ux: np.ndarray, uy: np.ndarray, v: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """(N, M, k, 2) = sum_l u(r_l) (x) sig_l (x) v_l for (L, k) signals."""
+    outer = sig[:, :, None] * v[:, None, :]                         # (L, k, 2)
+    t = uy[:, :, None, None] * outer[None, :, :, :]                 # (M, L, k, 2)
+    t = np.swapaxes(t, 0, 1).reshape(len(v), -1)
+    return (ux @ t).reshape(len(ux), len(uy), -1, 2)
+
+
+def _parallel_rows(positions: np.ndarray, velocities: np.ndarray):
+    """Group samples whose design rows differ only by a signed scale.
+
+    Moving samples within MERGE_TOL of one position form a cluster.  In turn,
+    the first ungrouped sample of each cluster becomes a representative r,
+    and every ungrouped sample of the cluster whose velocity is parallel or
+    antiparallel to v_r (to MERGE_TOL) joins it.  A missed merge costs time,
+    never accuracy.  Returns (reps, group, c): the K representatives in
+    sample order, each sample's group index and its scale
+    c_l = v_l . v_r / |v_r|^2 (1 at r, and at a sample that does not move).
+    """
+    L = len(positions)
+    rep = np.arange(L)
+    todo = np.flatnonzero(np.hypot(*velocities.T) > 0)
+    x, y = positions[todo].T
+    # clusters: runs of x with gaps <= MERGE_TOL, then runs of y within each
+    order = np.argsort(x, kind="stable")
+    x_run = np.empty(len(todo), dtype=int)
+    x_run[order] = np.cumsum(np.diff(x[order], prepend=x[order[:1]]) > MERGE_TOL)
+    order = np.lexsort((y, x_run))
+    split = (np.diff(x_run[order], prepend=0) != 0) | \
+        (np.diff(y[order], prepend=y[order[:1]]) > MERGE_TOL)
+    cluster = np.empty(len(todo), dtype=int)
+    cluster[order] = np.cumsum(split)
+    first = np.empty(len(todo), dtype=int)
+    while len(todo):
+        first.fill(L)
+        np.minimum.at(first, cluster, todo)
+        r = first[cluster]
+        v, vr = velocities[todo], velocities[r]
+        same = (np.max(np.abs(positions[todo] - positions[r]), axis=1) <= MERGE_TOL) & \
+            (np.abs(v[:, 0] * vr[:, 1] - v[:, 1] * vr[:, 0])
+             <= MERGE_TOL * np.hypot(*v.T) * np.hypot(*vr.T))
+        rep[todo[same]] = r[same]
+        todo, cluster = todo[~same], cluster[~same]
+    reps, group = np.unique(rep, return_inverse=True)
+    c = np.ones(L)
+    joined = rep != np.arange(L)
+    c[joined] = (np.sum(velocities[joined] * velocities[rep[joined]], axis=1)
+                 / np.sum(velocities[rep[joined]] ** 2, axis=1))
+    return reps, group, c
 
 
 def _solve_split(a, b, c, f, g):
@@ -124,27 +183,36 @@ def _solve_split(a, b, c, f, g):
 class CoreSystem:
     """Exact core-stage solver for the problem's geometry, N, M and order.
 
+    The design rows are merged first (_parallel_rows), so the system has one
+    row per distinct (position, velocity direction): K rows for L samples.
     The Gram matrix depends on neither lambda nor the signals, so it is
     built once; each solve() factors one SPD matrix for its lambda and takes
-    every signal series as a right-hand side.  The dual (L x L) form is
-    used when L < 2NM, the primal (2NM x 2NM) form otherwise.
+    every signal series as a right-hand side.  The dual (K x K) form is
+    used when K < 2NM, the primal (2NM x 2NM) form otherwise.  ``op`` is
+    the unmerged operator, against which solve_core checks the result.
     """
 
     def __init__(self, problem: CoreProblem):
         op = self.op = CoreOperator(problem)
         N, M = op.shape[:2]
-        self.dual = op.L < 2 * N * M
-        u = (op.ux.T[:, :, None] * op.uy.T[:, None, :]).reshape(op.L, N * M)
+        reps, self.group, c = _parallel_rows(problem.scan.geometry.positions, op.v)
+        norm = np.sqrt(np.bincount(self.group, c * c))
+        self.scale = c / norm[self.group]       # merged s_g = sum_l scale_l s_l
+        self.ux, self.uy = op.ux[:, reps], op.uy[:, reps]
+        self.v = norm[:, None] * op.v[reps]                         # (K, 2)
+        self.K = len(reps)
+        self.dual = self.K < 2 * N * M
+        u = (self.ux.T[:, :, None] * self.uy.T[:, None, :]).reshape(self.K, N * M)
         if self.dual:
             # W_+^-1, with 0 at the constant mode (weight 0), which phi0 carries
             self.inv_w = 1.0 / np.where(op.weights > 0, op.weights, np.inf)
-            self.phi0 = u[:, :1] * op.v                             # (L, 2)
+            self.phi0 = u[:, :1] * self.v                           # (K, 2)
             # Phi_+ W_+^-1 Phi_+^T = (U_+ W_+^-1 U_+^T) (.) (V V^T)
             u *= np.sqrt(self.inv_w.ravel())
             self.gram = u @ u.T
-            self.gram *= op.v @ op.v.T
+            self.gram *= self.v @ self.v.T
         else:
-            phi = (u[:, :, None] * op.v[:, None, :]).reshape(op.L, 2 * N * M)
+            phi = (u[:, :, None] * self.v[:, None, :]).reshape(self.K, 2 * N * M)
             self.gram = phi.T @ phi                                 # Phi^T Phi
 
     def solve(self, signals: np.ndarray, lam: float) -> np.ndarray:
@@ -153,19 +221,21 @@ class CoreSystem:
             raise ValueError("lambda must be positive")
         op = self.op
         N, M = op.shape[:2]
-        s = np.concatenate(list(signals), axis=1)       # (L, 2R), column 2r + a
+        s = np.zeros((self.K, 2 * len(signals)))        # column 2r + a
+        np.add.at(s, self.group, self.scale[:, None] * np.concatenate(list(signals), axis=1))
         if self.dual:
             # gram is symmetric; its Fortran-ordered transpose is factored in place
             g = (4.0 / lam) * self.gram.T
             g[np.diag_indices_from(g)] += op.L
             alpha, const = _solve_split(g, self.phi0, np.zeros((2, 2)), s, np.zeros_like(s[:2]))
-            x = (4.0 / lam) * self.inv_w[:, :, None, None] * op.apply_bt(alpha)
+            x = _adjoint(self.ux, self.uy, self.v, alpha)
+            x *= (4.0 / lam) * self.inv_w[:, :, None, None]
             x[0, 0] = const.T
             return np.moveaxis(x.reshape(N, M, -1, 2, 2), 2, 0)
         # primal unknowns are rows (mode, b)
         h = self.gram / op.L
         h[np.diag_indices_from(h)] += (lam / OMEGA_AREA) * np.repeat(op.weights.ravel(), 2)
-        b = np.swapaxes(op.rhs(s), 2, 3).reshape(2 * N * M, -1)
+        b = np.swapaxes(_adjoint(self.ux, self.uy, self.v, s) / op.L, 2, 3).reshape(2 * N * M, -1)
         xp, const = _solve_split(h[2:, 2:], h[2:, :2], h[:2, :2], b[2:], b[:2])
         return np.concatenate([const, xp]).reshape(N, M, 2, -1, 2).transpose(3, 0, 1, 4, 2)
 
@@ -193,7 +263,8 @@ def gradient(coeffs: CoeffTensor, problem: CoreProblem) -> CoeffTensor:
 def solve_core(problem: CoreProblem) -> CoreSolution:
     """Minimize the energy exactly: one Gram build and one Cholesky solve.
 
-    Reports the relative normal-equation residual and the energy.
+    Reports the relative residual of the unmerged normal equations and the
+    energy.
     """
     system = CoreSystem(problem)
     op, s = system.op, problem.scan.signals

@@ -170,6 +170,27 @@ class GridSpec:
             raise ValueError("grid spec has no grid values")
         if not all(math.isfinite(v) and v > 0 for v in (*self.values, *self.mantissas)):
             raise ValueError("grid values and mantissas must be positive and finite")
+        # every value either step may visit: the refine step may centre on any coarse value
+        try:
+            coarse = self.coarse()
+            ok = all(math.isfinite(v) and v > 0 for v in coarse)
+            if ok and self.refine and not self.values:
+                ok = all(math.isfinite(v) and v > 0
+                         for best in coarse for v in self.neighbourhood(best))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError("grid exponents must give positive, finite values")
+
+    def coarse(self):
+        """The first step's values: the explicit grid, or j * 10^i."""
+        return self.values or {j * 10.0 ** i for i in self.exponents for j in self.mantissas}
+
+    @staticmethod
+    def neighbourhood(best: float) -> set:
+        """The refine step's values: j = 1..9 over the magnitudes next to best's."""
+        i_star = int(np.floor(np.log10(best) + 1e-12))
+        return {j * 10.0 ** i for i in (i_star - 1, i_star, i_star + 1) for j in range(1, 10)}
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
@@ -224,10 +245,9 @@ def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> Search
                     result.best_value, result.best_score, result.outputs = v, scores[v][0], outputs
             result.rows.append((v, *scores[v]))
 
-    visit(spec.values or {j * 10.0 ** i for i in spec.exponents for j in spec.mantissas})
+    visit(spec.coarse())
     if spec.refine and not spec.values:
-        i_star = int(np.floor(np.log10(result.best_value) + 1e-12))
-        visit({j * 10.0 ** i for i in (i_star - 1, i_star, i_star + 1) for j in range(1, 10)})
+        visit(spec.neighbourhood(result.best_value))
     return result
 
 

@@ -189,10 +189,12 @@ def test_usage_and_io_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("param", ["lambda", "mu"])
 @pytest.mark.parametrize("grid", ["i=3:-3", "values=0", "values=-1", "j=0", "j=-1",
-                                  "refine=banana"])
+                                  "refine=banana", "i=400:400", "i=-400:-400",
+                                  "i=308:308"])
 def test_bad_grid_specs_exit_1(tmp_path, capsys, param, grid):
-    # an empty grid, a non-positive value or mantissa and a non-boolean
-    # refine are usage errors for both searches
+    # an empty grid, a non-positive value or mantissa, a non-boolean refine
+    # and exponents whose coarse or refined values overflow or underflow
+    # are usage errors for both searches
     assert main(FAST + ["gridsearch", param, "--grid", grid,
                         "--out", str(tmp_path / "gs")]) == 1
     assert "usage error" in capsys.readouterr().err

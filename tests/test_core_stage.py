@@ -197,6 +197,57 @@ def test_solve_unseen_constant_mode_stays_zero(N):
     assert sol.converged
 
 
+@pytest.mark.parametrize("dense, K", [(False, 817), (True, 1634)])
+def test_preset_scans_merge_mirrored_samples(dense, K):
+    # the cosine-phase Lissajous curve is time-reversal symmetric: samples
+    # l and L - l share a position with opposite velocities
+    geom = make_scan(LissajousSpec(), 1632)
+    if dense:
+        geom = merge_scans(geom, rotate_scan(geom, 1))
+    system = CoreSystem(CoreProblem(ScanSeries(geom, np.zeros((len(geom), 2))), N=4, M=4))
+    assert system.K == K == len(geom) // 2 + (2 if dense else 1)
+
+
+def mirrored_series(seed):
+    # a symmetric scan (40 samples -> 21 rows) plus five samples that repeat
+    # a position with a scaled, reversed velocity
+    geom = make_scan(LissajousSpec(freq_x=3, freq_y=4), 40)
+    geom = ScanGeometry(np.arange(45) / 45.0,
+                        np.vstack([geom.positions, geom.positions[1:6]]),
+                        np.vstack([geom.velocities, -2.5 * geom.velocities[1:6]]))
+    return ScanSeries(geom, np.random.default_rng(seed).normal(size=(45, 2)))
+
+
+@pytest.mark.parametrize("N, dual", [(4, True), (3, False)])  # K = 21 vs 2NM
+@pytest.mark.parametrize("order", [1, 2])
+def test_merged_solve_matches_unmerged_normal_equations(N, dual, order):
+    problem = CoreProblem(mirrored_series(19), N=N, M=N, order=order, lam=0.03)
+    system = CoreSystem(problem)
+    assert system.K == 21 and system.dual == dual
+    op = CoreOperator(problem)                   # the unmerged rows
+    n = int(np.prod(op.shape))
+    H = np.stack([op.apply_h(e.reshape(op.shape)).ravel() for e in np.eye(n)], axis=1)
+    want = np.linalg.solve(H, op.rhs(problem.scan.signals).ravel()).reshape(op.shape)
+    got = system.solve(problem.scan.signals[None], problem.lam)[0]
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+    assert solve_core(problem).final_residual <= 1e-10
+
+
+def test_non_parallel_velocities_at_one_position_stay_two_rows():
+    geom = ScanGeometry([0.0, 0.5, 0.7], [[0.3, -0.2], [0.3, -0.2], [0.3, -0.2]],
+                        [[1.0, 0.0], [0.0, 2.0], [-3.0, 1e-6]])
+    system = CoreSystem(CoreProblem(ScanSeries(geom, np.zeros((3, 2))), N=3, M=3))
+    assert system.K == 3
+
+
+def test_scan_without_duplicates_keeps_every_row():
+    rng = np.random.default_rng(20)
+    geom = ScanGeometry(np.arange(60) / 60.0, rng.uniform(-1, 1, size=(60, 2)),
+                        rng.normal(size=(60, 2)))
+    system = CoreSystem(CoreProblem(ScanSeries(geom, np.zeros((60, 2))), N=6, M=6))
+    assert system.K == 60 and np.all(system.scale == 1.0)
+
+
 def test_solve_self_consistency_band_limited():
     # noiseless signals from a known band-limited tensor on the dense merged
     # scan; tiny lambda recovers the generating coefficients
