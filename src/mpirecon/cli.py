@@ -56,7 +56,7 @@ def cmd_reconstruct(cfg: PipelineConfig, scan_path: str, out_dir: str) -> int:
     """Run both stages; write coefficients, trace, reconstruction, diagnostics."""
     os.makedirs(out_dir, exist_ok=True)
     series, h = read_series_csv(scan_path)
-    if h > 0:
+    if h is not None:
         cfg.kernel.h = h
     res = reconstruct(cfg, series)
     save_coeffs(res.solution.coeffs, os.path.join(out_dir, "coeffs.mpic"))

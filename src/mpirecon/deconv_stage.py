@@ -8,7 +8,8 @@ data step with a denoising step:
     rho2 <- Denoiser(rho1, sigma)
 
 C is the linear (zero-padded) discrete convolution with kappa_h, applied by
-the forward model's FFT routine, and the Tikhonov subproblem is solved by
+the forward model's FFT routine with the DCT-I spectrum of kappa_h's
+nonnegative-offset quadrant, and the Tikhonov subproblem is solved by
 CG on the normal equations, preconditioned with T. Chan's optimal circulant
 approximation of C.  The first iteration does not depend on mu, so a search
 over mu computes it once per trace (``hqs_first_step``).  The denoiser is
@@ -30,7 +31,7 @@ from scipy import fft as sfft
 from scipy.ndimage import gaussian_filter
 
 from .fields import ScalarField, load_field, save_field
-from .forward import convolve_same, mirror_stencil, offset_grids, stencil_spectrum
+from .forward import convolve_same, mirror_stencil, offset_grids, quadrant_spectrum
 from .kernels import KernelParams, kernel_trace
 
 log = logging.getLogger(__name__)
@@ -44,16 +45,18 @@ class ConvolutionOperator:
 
     The kernel array holds samples at all offsets -(n-1)..(n-1) per axis
     (shape (2nx-1, 2ny-1)), already scaled by the cell area.  It must be
-    point-symmetric, k(-y) = k(y), so that C is its own adjoint.
+    even in each axis, k(-y1, y2) = k(y1, -y2) = k(y), so that C is its own
+    adjoint and its spectrum is the DCT-I of the nonnegative quadrant.
     """
 
     def __init__(self, kernel: np.ndarray, shape: tuple[int, int]):
         nx, ny = shape
         if kernel.shape != (2 * nx - 1, 2 * ny - 1):
             raise ValueError("kernel must cover all grid offsets")
-        if not np.allclose(kernel, kernel[::-1, ::-1], rtol=1e-12, atol=0.0):
-            raise ValueError("kernel must be point-symmetric")
-        self._khat = stencil_spectrum(kernel)
+        if not (np.allclose(kernel, kernel[::-1], rtol=1e-12, atol=0.0)
+                and np.allclose(kernel, kernel[:, ::-1], rtol=1e-12, atol=0.0)):
+            raise ValueError("kernel must be even in each axis")
+        self._khat = quadrant_spectrum(kernel[nx - 1:, ny - 1:])
         # spectrum of the periodic (wrapped) kernel
         self.periodic_spectrum = sfft.fft2(_wrap(kernel, shape))
         # |c|^2 on the rfft2 half plane, c the spectrum of T. Chan's optimal
@@ -80,7 +83,10 @@ def _wrap(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def build_convolution_operator(params: KernelParams, nx: int,
                                ny: int) -> ConvolutionOperator:
-    """C_h: convolution with kappa_h sampled on grid offsets times cell area."""
+    """C_h: convolution with kappa_h sampled on grid offsets times cell area.
+
+    kappa_h is radial, so the kernel is even in each axis.
+    """
     if nx < 8 or ny < 8:
         raise ValueError("deconvolution grid must be at least 8x8")
     kernel = mirror_stencil(kernel_trace(offset_grids(nx, ny), params))

@@ -148,6 +148,8 @@ def load_field(path: str) -> ScalarField:
     if m is None:
         raise FormatError(f"{path}: not a binary P5 PGM / malformed header")
     nx, ny, maxval = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    if nx < 1 or ny < 1:
+        raise FormatError(f"{path}: image dimensions must be >= 1, got {nx}x{ny}")
     if maxval != 65535:
         raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
     raster = data[m.end():]
@@ -160,5 +162,7 @@ def load_field(path: str) -> ScalarField:
         vmin, vmax = float(vmin_s), float(vmax_s)
     except (OSError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed .range sidecar") from exc
+    if not np.isfinite(vmax - vmin):  # also catches a span that overflows
+        raise FormatError(f"{path}: .range sidecar must hold two finite values")
     values = vmin + raw.astype(float) / 65535.0 * (vmax - vmin)
     return ScalarField(values)

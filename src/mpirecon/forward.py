@@ -3,8 +3,11 @@
 The core response A = K_h * rho is computed by linear (zero-padded) discrete
 convolution on the fine grid: kernel entries sampled at all grid offsets,
 scaled by the cell area.  No periodic wraparound — rho has compact support
-and the kernel models free-space physics.  The same convolution routine,
-:func:`convolve_same`, serves the deconvolution stage.
+and the kernel models free-space physics.  Each kernel component is even or
+odd in each axis, so it is sampled on the nonnegative-offset quadrant and
+its spectrum is a DCT-I or DST-I of that quadrant (:func:`quadrant_spectrum`).
+The same convolution routine, :func:`convolve_same`, serves the
+deconvolution stage, and tr A is the ideal trace kappa_h * rho.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .fields import FormatError, MatrixField, ScalarField, bilinear_sample
-from .kernels import KernelParams, kernel_matrix_components, kernel_trace
+from .kernels import KernelParams, kernel_matrix_components
 from .rng import SeededGenerator
 from .trajectory import ScanGeometry
 
@@ -38,8 +41,9 @@ class ScanSeries:
 def offset_grids(nx: int, ny: int):
     """Nonnegative grid offsets (i 2/nx, j 2/ny), i < nx, j < ny.
 
-    This is the quadrant of the kernel stencil; :func:`mirror_stencil`
-    completes it, since every kernel here is even or odd in each axis.
+    This is the quadrant of the kernel stencil; every kernel here is even or
+    odd in each axis, so the quadrant determines it (:func:`mirror_stencil`,
+    :func:`quadrant_spectrum`).
     """
     return np.meshgrid(np.arange(nx) * (2.0 / nx), np.arange(ny) * (2.0 / ny),
                        indexing="ij")
@@ -55,28 +59,42 @@ def mirror_stencil(quadrant: np.ndarray, parity: float = 1.0) -> np.ndarray:
 
 
 def _fft_shape(nx: int, ny: int) -> tuple[int, int]:
-    # a circular size >= 2n-1 leaves the "same" window free of wraparound
-    return sfft.next_fast_len(2 * nx - 1), sfft.next_fast_len(2 * ny - 1)
+    # an even circular size >= 2n leaves the "same" window free of
+    # wraparound, and its half period is what DCT-I / DST-I work on
+    return 2 * sfft.next_fast_len(nx), 2 * sfft.next_fast_len(ny)
 
 
-def stencil_spectrum(stencil: np.ndarray) -> np.ndarray:
-    """Real half spectrum of point-symmetric (..., 2nx-1, 2ny-1) stencils.
+def quadrant_spectrum(quadrant: np.ndarray, parity: float = 1.0) -> np.ndarray:
+    """Half spectrum, for :func:`convolve_same`, of a stencil given by its quadrant.
 
-    Offset 0 is moved to index (0, 0) of the circular grid, so a stencil
-    with k(-y) = k(y) has a real spectrum.
+    quadrant[i, j] is the stencil at offset (i, j) >= 0; parity is 1 for a
+    stencil even in each axis and -1 for one odd in each.  With offset 0 at
+    index (0, 0) of the even circular grid (2 mx, 2 my), the DFT of an even
+    sequence is the DCT-I of its first mx+1 entries and that of an odd one
+    is -i times the DST-I of entries 1..mx-1 (Martucci, IEEE TSP 42, 1994),
+    so both spectra are real.  Rows mx+1.. mirror rows mx-1..1 times parity.
     """
-    nx, ny = (stencil.shape[-2] + 1) // 2, (stencil.shape[-1] + 1) // 2
-    wrapped = np.zeros(stencil.shape[:-2] + _fft_shape(nx, ny))
-    wrapped[..., : 2 * nx - 1, : 2 * ny - 1] = stencil
-    wrapped = np.roll(wrapped, (1 - nx, 1 - ny), axis=(-2, -1))
-    return sfft.rfft2(wrapped).real
+    nx, ny = quadrant.shape
+    px, py = _fft_shape(nx, ny)
+    mx, my = px // 2, py // 2
+    half = np.zeros((px, my + 1))
+    if parity == 1.0:
+        half[: mx + 1] = sfft.dctn(quadrant, type=1, s=(mx + 1, my + 1))
+    elif parity == -1.0:
+        if mx > 1 and my > 1:  # else a one-cell axis: the odd stencil is 0
+            # (-i)^2 = -1 from the two axes
+            half[1:mx, 1:my] = -sfft.dstn(quadrant[1:, 1:], type=1, s=(mx - 1, my - 1))
+    else:
+        raise ValueError("parity must be 1 or -1")
+    half[mx + 1:] = parity * half[mx - 1:0:-1]
+    return half
 
 
 def convolve_same(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Linear convolution of x with stencils, in the "same" window.
 
     out[..., i, j] = sum_ab x[a, b] k[i - a, j - b] for each stencil k whose
-    :func:`stencil_spectrum` is given.  Only the nx nonzero rows of the
+    :func:`quadrant_spectrum` is given.  Only the nx nonzero rows of the
     padded x are transformed forward, and only the nx window rows back.
     """
     nx, ny = x.shape
@@ -90,24 +108,19 @@ def core_response_field(rho: ScalarField, params: KernelParams) -> MatrixField:
     """A = K_h * rho on rho's grid; a12 and a21 share one convolution.
 
     k11 and k22 are even in each axis and k12 is odd, so each stencil is
-    evaluated on the nonnegative-offset quadrant and mirrored.
+    evaluated on the nonnegative-offset quadrant only.  tr A = kappa_h * rho,
+    the ideal trace, since tr K_h = kappa_h.
     """
     k11, k12, k22 = kernel_matrix_components(*offset_grids(rho.nx, rho.ny), params)
-    stencils = np.stack([mirror_stencil(k11), mirror_stencil(k12, -1.0),
-                         mirror_stencil(k22)])
-    c11, c12, c22 = convolve_same(rho.values, stencil_spectrum(stencils)) * rho.cell_area
+    spectra = np.stack([quadrant_spectrum(k11), quadrant_spectrum(k12, -1.0),
+                        quadrant_spectrum(k22)])
+    c11, c12, c22 = convolve_same(rho.values, spectra) * rho.cell_area
     out = np.empty((rho.nx, rho.ny, 2, 2))
     out[:, :, 0, 0] = c11
     out[:, :, 0, 1] = c12
     out[:, :, 1, 0] = c12
     out[:, :, 1, 1] = c22
     return MatrixField(out)
-
-
-def trace_response_field(rho: ScalarField, params: KernelParams) -> ScalarField:
-    """kappa_h * rho, the scalar (trace) convolution, computed independently."""
-    ker = mirror_stencil(kernel_trace(offset_grids(rho.nx, rho.ny), params))
-    return ScalarField(convolve_same(rho.values, stencil_spectrum(ker)) * rho.cell_area)
 
 
 def simulate_signal(A: MatrixField, geom: ScanGeometry) -> np.ndarray:
@@ -151,9 +164,12 @@ def write_series_csv(series: ScanSeries, path: str, h: float) -> None:
             fh.write(",".join(repr(float(v_)) for v_ in row) + "\n")
 
 
-def read_series_csv(path: str) -> tuple[ScanSeries, float]:
-    """Read a series CSV; returns (series, h from the metadata line)."""
-    h = 0.0
+def read_series_csv(path: str) -> tuple[ScanSeries, float | None]:
+    """Read a series CSV; returns (series, h from the metadata line or None).
+
+    An h that is present must be positive and finite.
+    """
+    h = None
     fraction = 0.0
     seed = 0
     rows = []
@@ -179,6 +195,8 @@ def read_series_csv(path: str) -> tuple[ScanSeries, float]:
             rows.append([float(v) for v in line.split(",")])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed number ({exc})") from exc
+    if h is not None and not 0 < h < np.inf:
+        raise FormatError(f"{path}: kernel width h must be positive and finite, got {h}")
     if not rows or any(len(r) != 7 for r in rows):
         raise FormatError(f"{path}: expected 7 columns t,rx,ry,vx,vy,sx,sy")
     data = np.asarray(rows, dtype=float)

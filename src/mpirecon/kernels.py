@@ -27,13 +27,13 @@ SERIES_THRESHOLD = 1e-2
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Resolution parameter h > 0."""
+    """Resolution parameter 0 < h < inf."""
 
     h: float
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Image quality scores (PSNR, SSIM) and the ground-truth trace.
+"""Image quality scores (PSNR, SSIM) and the ground-truth trace tr A.
 
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5) with stabilizers
 C1 = (0.01 peak)^2, C2 = (0.03 peak)^2, averaged over all positions where
@@ -12,15 +12,16 @@ import math
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .fields import ScalarField, resample_bilinear
-from .forward import trace_response_field
-from .kernels import KernelParams
+from .fields import MatrixField, ScalarField, resample_bilinear
 
 
-def ideal_trace(rho_gt: ScalarField, params: KernelParams,
-                nx: int, ny: int) -> ScalarField:
-    """kappa_h * rho on the fine grid, resampled to the (nx, ny) grid."""
-    return resample_bilinear(trace_response_field(rho_gt, params), nx, ny)
+def ideal_trace(A: MatrixField, nx: int, ny: int) -> ScalarField:
+    """kappa_h * rho, resampled to the (nx, ny) grid, from the core response.
+
+    A = K_h * rho on the fine grid and tr K_h = kappa_h, so tr A is the
+    ideal trace; no second convolution is needed.
+    """
+    return resample_bilinear(A.trace(), nx, ny)
 
 
 def psnr(x: ScalarField, y: ScalarField, peak: float) -> float:

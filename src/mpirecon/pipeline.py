@@ -99,7 +99,7 @@ def simulate_case(cfg: PipelineConfig, spec: ph.PhantomSpec | None = None) -> Si
     geom = scan_geometry(cfg)
     with _config_values("noise"):
         series = simulate_series(A, geom, cfg.noise.fraction, cfg.noise.seed)
-    u_gt = ideal_trace(rho, params, n_rec, n_rec)
+    u_gt = ideal_trace(A, n_rec, n_rec)
     return SimCase(spec.name or spec.kind, rho, series, u_gt, rho_gt_recon)
 
 

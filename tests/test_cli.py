@@ -215,6 +215,7 @@ def fast_scan(tmp_path_factory):
     ("reconstruct", "deconv.denoiser=bogus"),
     ("reconstruct", "deconv.denoiser_width=-1"),
     ("simulate", "kernel.h=0"),
+    ("simulate", "kernel.h=inf"),
     ("simulate", "trajectory.L=0"),
     ("simulate", "noise.fraction=-0.1"),
     ("simulate", "phantom.kind=bogus"),
@@ -246,3 +247,29 @@ def test_malformed_input_files_exit_3(tmp_path, capsys):
     assert main(FAST + ["--set", "phantom.kind=from_file", "--set", f"phantom.path={pgm}",
                         "simulate", "--out", str(tmp_path / "sim")]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,rng_text", [
+    (b"P5\n8 8\n65535\n", "nan nan\n"),
+    (b"P5\n8 8\n65535\n", "0.0 inf\n"),
+    (b"P5\n0 0\n65535\n", "0.0 1.0\n"),
+])
+def test_malformed_pgm_exits_3(tmp_path, capsys, header, rng_text):
+    # a non-finite range sidecar or a zero image dimension is a format error
+    pgm = tmp_path / "img.pgm"
+    pgm.write_bytes(header + b"\x00" * 128)
+    (tmp_path / "img.range").write_text(rng_text)
+    assert main(["metrics", str(pgm), str(pgm)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["-0.05", "inf"])
+def test_scan_with_bad_kernel_width_exits_3(fast_scan, tmp_path, capsys, h):
+    # a scan's own h is used when present, so a bad one is not replaced by
+    # the configuration's
+    lines = open(fast_scan).read().splitlines(keepends=True)
+    assert lines[0].startswith("# h=")
+    scan = tmp_path / "scan.csv"
+    scan.write_text(f"# h={h} fraction=0.0 seed=0\n" + "".join(lines[1:]))
+    assert main(FAST + ["reconstruct", str(scan), "--out", str(tmp_path / "rec")]) == 3
+    assert "kernel width" in capsys.readouterr().err

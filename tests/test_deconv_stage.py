@@ -10,7 +10,7 @@ from mpirecon.deconv_stage import (CG_TOL, ConvolutionOperator, DeconvProblem, D
                                    hqs_deconvolve, hqs_first_step, tikhonov_step,
                                    _periodic_solve)
 from mpirecon.fields import ScalarField, cell_centers
-from mpirecon.forward import trace_response_field
+from mpirecon.forward import core_response_field
 from mpirecon.kernels import KernelParams, kernel_trace
 
 PARAMS = KernelParams(h=0.05)
@@ -68,7 +68,17 @@ def test_operator_rejects_asymmetric_kernel():
     n = 6
     ker = np.ones((2 * n - 1, 2 * n - 1))
     ker[0, 0] = 2.0
-    with pytest.raises(ValueError, match="point-symmetric"):
+    with pytest.raises(ValueError, match="even in each axis"):
+        ConvolutionOperator(ker, (n, n))
+
+
+def test_operator_rejects_point_symmetric_kernel_not_even_per_axis():
+    # k(-y) = k(y) holds, k(-y1, y2) = k(y1, y2) does not: the operator's
+    # spectrum is the DCT-I of the quadrant, which needs per-axis evenness
+    n = 6
+    ker = np.random.default_rng(4).normal(size=(2 * n - 1, 2 * n - 1))
+    ker = ker + ker[::-1, ::-1]
+    with pytest.raises(ValueError, match="even in each axis"):
         ConvolutionOperator(ker, (n, n))
 
 
@@ -122,10 +132,11 @@ def test_real_fft_preconditioner_equals_complex(shape):
 
 
 def test_periodic_power_is_optimal_circulant_spectrum():
-    # odd x even grid and a generic point-symmetric kernel
+    # odd x even grid and a generic kernel even in each axis
     nx, ny = 6, 7
     ker = np.random.default_rng(13).normal(size=(2 * nx - 1, 2 * ny - 1))
-    op = ConvolutionOperator(ker + ker[::-1, ::-1], (nx, ny))
+    ker = ker + ker[::-1]
+    op = ConvolutionOperator(ker + ker[:, ::-1], (nx, ny))
     want = np.abs(optimal_circulant_eigenvalues(op, (nx, ny))[:, : ny // 2 + 1]) ** 2
     assert op.periodic_power.shape == want.shape
     assert np.max(np.abs(op.periodic_power - want)) <= 1e-12 * np.max(want)
@@ -139,7 +150,7 @@ def test_operator_agrees_with_forward_module():
     rng = np.random.default_rng(2)
     rho = ScalarField(rng.uniform(size=(n, n)))
     op = build_convolution_operator(PARAMS, n, n)
-    via_forward = trace_response_field(rho, PARAMS).values
+    via_forward = core_response_field(rho, PARAMS).trace().values
     got = op.apply(rho.values)
     assert np.max(np.abs(got - via_forward)) < 1e-10 * np.max(np.abs(via_forward))
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.signal import fftconvolve
 
-from mpirecon.fields import MatrixField, ScalarField, cell_centers
-from mpirecon.forward import (ScanSeries, add_noise, convolve_same, core_response_field,
-                              mirror_stencil, offset_grids,
-                              read_series_csv, simulate_series, simulate_signal,
-                              stencil_spectrum, trace_response_field, write_series_csv)
+from mpirecon.fields import FormatError, MatrixField, ScalarField, cell_centers
+from mpirecon.forward import (ScanSeries, _fft_shape, add_noise, convolve_same,
+                              core_response_field, mirror_stencil, offset_grids,
+                              quadrant_spectrum, read_series_csv, simulate_series,
+                              simulate_signal, write_series_csv)
 from mpirecon.kernels import KernelParams, kernel_matrix_components, kernel_trace
 from mpirecon.trajectory import LissajousSpec, make_scan
 
@@ -42,21 +43,24 @@ def test_off_diagonal_channels_identical():
 
 
 def test_trace_consistency_with_scalar_convolution():
-    rng = np.random.default_rng(1)
-    rho = ScalarField(rng.uniform(size=(64, 64)))
-    A = core_response_field(rho, PARAMS)
-    tr = A.trace()
-    u = trace_response_field(rho, PARAMS)
-    scale = np.max(np.abs(u.values))
-    assert np.max(np.abs(tr.values - u.values)) < 1e-10 * scale
+    # tr K_h = kappa_h on the stencil, so tr A is the scalar convolution
+    # kappa_h * rho that serves as the ideal trace
+    n = 64
+    k11, _, k22 = kernel_matrix_components(*offset_grids(n, n), PARAMS)
+    kappa = kernel_trace(offset_grids(n, n), PARAMS)
+    assert np.max(np.abs(k11 + k22 - kappa)) <= 1e-14 * np.max(kappa)
+    rho = ScalarField(np.random.default_rng(1).uniform(size=(n, n)))
+    tr = core_response_field(rho, PARAMS).trace().values
+    u = convolve_same(rho.values, quadrant_spectrum(kappa)) * rho.cell_area
+    assert np.max(np.abs(tr - u)) < 1e-13 * np.max(np.abs(u))
 
 
 def test_convolution_matches_direct_summation():
-    # small-grid oracle: plain O(n^4) summation
+    # small-grid oracle: plain O(n^4) summation of kappa_h against tr A
     n = 12
     rng = np.random.default_rng(2)
     rho = ScalarField(rng.uniform(size=(n, n)))
-    u = trace_response_field(rho, PARAMS)
+    u = core_response_field(rho, PARAMS).trace()
     xs = cell_centers(n)
     direct = np.zeros((n, n))
     for i in range(n):
@@ -87,16 +91,54 @@ def test_mirrored_stencils_equal_full_evaluation(n):
                                   kernel_trace(full_offset_grids(n, n), PARAMS))
 
 
-@pytest.mark.parametrize("shape", [(9, 12), (12, 12)])
+def rolled_rfft2_spectrum(quadrant, parity, shape):
+    """Reference: mirror the quadrant, zero-pad, move offset 0 to (0, 0), rfft2."""
+    nx, ny = quadrant.shape
+    wrapped = np.zeros(shape)
+    wrapped[: 2 * nx - 1, : 2 * ny - 1] = mirror_stencil(quadrant, parity)
+    wrapped = np.roll(wrapped, (1 - nx, 1 - ny), axis=(0, 1))
+    return sfft.rfft2(wrapped).real
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 9), (64, 64), (100, 100), (9, 12), (1, 5)])
+def test_quadrant_spectrum_equals_rolled_rfft2(shape):
+    # DCT-I (k11, k22, kappa_h) and DST-I (k12) of the quadrant against the
+    # full stencil's rfft2 on the same even padded grid; on a one-cell axis
+    # the odd stencil is zero
+    px, py = _fft_shape(*shape)
+    assert px % 2 == 0 and py % 2 == 0
+    assert px >= 2 * shape[0] - 1 and py >= 2 * shape[1] - 1
+    k11, k12, k22 = kernel_matrix_components(*offset_grids(*shape), PARAMS)
+    kappa = kernel_trace(offset_grids(*shape), PARAMS)
+    for q, parity in ((k11, 1.0), (k12, -1.0), (k22, 1.0), (kappa, 1.0)):
+        got = quadrant_spectrum(q, parity)
+        want = rolled_rfft2_spectrum(q, parity, (px, py))
+        assert got.shape == (px, py // 2 + 1)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_fft_shape_is_twice_the_fast_length():
+    # the same padded size as next_fast_len(2n - 1) at n = 9, 64, 97, 100,
+    # 128 and 512; one more at n = 8 (15) and n = 50 (99), where DCT-I needs
+    # an even period
+    for n, size in ((8, 16), (9, 18), (50, 100), (64, 128), (97, 196), (100, 200),
+                    (128, 256), (512, 1024)):
+        assert _fft_shape(n, n) == (size, size)
+    with pytest.raises(ValueError, match="parity"):
+        quadrant_spectrum(np.ones((8, 8)), 0.5)
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (12, 12), (8, 8)])
 def test_convolve_same_matches_direct_summation(shape):
-    # one even and one odd stencil on a non-square and a square grid
+    # one even and one odd stencil on a non-square and two square grids;
+    # at n = 8 the padded size is 16, not the minimal 15
     nx, ny = shape
     rng = np.random.default_rng(9)
     x = rng.normal(size=shape)
     xs, ys = cell_centers(nx), cell_centers(ny)
     k11, k12, _ = kernel_matrix_components(*offset_grids(nx, ny), PARAMS)
-    stencils = np.stack([mirror_stencil(k11), mirror_stencil(k12, -1.0)])
-    got = convolve_same(x, stencil_spectrum(stencils))
+    spectra = np.stack([quadrant_spectrum(k11), quadrant_spectrum(k12, -1.0)])
+    got = convolve_same(x, spectra)
     direct = np.zeros((2, nx, ny))
     for i in range(nx):
         for j in range(ny):
@@ -177,6 +219,23 @@ def test_series_csv_round_trip(tmp_path):
     assert back.noise_fraction == 0.02 and back.seed == 4242
     np.testing.assert_array_equal(back.signals, series.signals)
     np.testing.assert_array_equal(back.geometry.positions, geom.positions)
+
+
+@pytest.mark.parametrize("h", ["-0.05", "0", "inf", "nan"])
+def test_series_csv_rejects_bad_kernel_width(tmp_path, h):
+    path = tmp_path / "scan.csv"
+    path.write_text(f"# h={h} fraction=0.0 seed=0\nt,rx,ry,vx,vy,sx,sy\n"
+                    "0.0,0.1,0.2,1.0,0.0,0.5,0.1\n")
+    with pytest.raises(FormatError, match="kernel width"):
+        read_series_csv(str(path))
+
+
+def test_series_csv_without_kernel_width(tmp_path):
+    # an absent h leaves the choice to the configuration
+    path = tmp_path / "scan.csv"
+    path.write_text("t,rx,ry,vx,vy,sx,sy\n0.0,0.1,0.2,1.0,0.0,0.5,0.1\n")
+    series, h = read_series_csv(str(path))
+    assert h is None and len(series.geometry) == 1
 
 
 def test_simulate_series_deterministic():

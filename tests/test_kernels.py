@@ -128,8 +128,9 @@ def test_trace_kernel_value_at_origin():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(h=0.0)
+    for h in (0.0, -0.05, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelParams(h=h)
 
 
 def test_symmat2_trace():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mpirecon.fields import ScalarField, resample_bilinear
-from mpirecon.forward import core_response_field
-from mpirecon.kernels import KernelParams
+from mpirecon.forward import convolve_same, core_response_field, offset_grids, quadrant_spectrum
+from mpirecon.kernels import KernelParams, kernel_trace
 from mpirecon.metrics import ideal_trace, psnr, ssim
 from mpirecon.phantom import disk, rasterize
 
@@ -13,22 +13,25 @@ PARAMS = KernelParams(h=0.05)
 
 
 def test_ideal_trace_zero():
-    u = ideal_trace(ScalarField.zeros(64, 64), PARAMS, 16, 16)
+    u = ideal_trace(core_response_field(ScalarField.zeros(64, 64), PARAMS), 16, 16)
     assert np.all(u.values == 0.0)
 
 
 def test_ideal_trace_matches_matrix_trace():
+    # tr A against the scalar convolution kappa_h * rho, resampled
     rho = rasterize(disk(radius=0.4), 128, 128)
-    u = ideal_trace(rho, PARAMS, 32, 32)
-    tr = resample_bilinear(core_response_field(rho, PARAMS).trace(), 32, 32)
+    u = ideal_trace(core_response_field(rho, PARAMS), 32, 32)
+    kappa = kernel_trace(offset_grids(128, 128), PARAMS)
+    conv = ScalarField(convolve_same(rho.values, quadrant_spectrum(kappa)) * rho.cell_area)
+    tr = resample_bilinear(conv, 32, 32)
     assert np.max(np.abs(u.values - tr.values)) < 1e-10 * np.max(np.abs(u.values))
 
 
 def test_ideal_trace_linear():
     rng = np.random.default_rng(0)
     r1 = ScalarField(rng.uniform(size=(64, 64)))
-    u1 = ideal_trace(r1, PARAMS, 16, 16)
-    u2 = ideal_trace(ScalarField(3.0 * r1.values), PARAMS, 16, 16)
+    u1 = ideal_trace(core_response_field(r1, PARAMS), 16, 16)
+    u2 = ideal_trace(core_response_field(ScalarField(3.0 * r1.values), PARAMS), 16, 16)
     np.testing.assert_allclose(u2.values, 3.0 * u1.values, rtol=1e-12)
 
 
