@@ -124,12 +124,28 @@ def _adjoint(ux: np.ndarray, uy: np.ndarray, v: np.ndarray, sig: np.ndarray) -> 
     return (ux @ t).reshape(len(ux), len(uy), -1, 2)
 
 
+def _runs(values: np.ndarray):
+    """Cluster values into runs of sorted neighbours at most MERGE_TOL apart.
+
+    Returns each value's run index, with runs numbered in increasing order,
+    and each run's smallest value.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = np.diff(ordered) > MERGE_TOL
+    run = np.empty(len(values), dtype=int)
+    run[order] = np.cumsum(new) - 1
+    return run, ordered[new]
+
+
 def _parallel_rows(positions: np.ndarray, velocities: np.ndarray):
     """Group samples whose design rows differ only by a signed scale.
 
-    Moving samples within MERGE_TOL of one position form a cluster.  In turn,
-    the first ungrouped sample of each cluster becomes a representative r,
-    and every ungrouped sample of the cluster whose velocity is parallel or
+    Moving samples whose x-values share a run and whose y-values share a run
+    (_runs) form a cluster.  In turn, the first ungrouped sample of each
+    cluster becomes a representative r, and every ungrouped sample of the
+    cluster within MERGE_TOL of r's position whose velocity is parallel or
     antiparallel to v_r (to MERGE_TOL) joins it.  A missed merge costs time,
     never accuracy.  Returns (reps, group, c): the K representatives in
     sample order, each sample's group index and its scale
@@ -138,16 +154,8 @@ def _parallel_rows(positions: np.ndarray, velocities: np.ndarray):
     L = len(positions)
     rep = np.arange(L)
     todo = np.flatnonzero(np.hypot(*velocities.T) > 0)
-    x, y = positions[todo].T
-    # clusters: runs of x with gaps <= MERGE_TOL, then runs of y within each
-    order = np.argsort(x, kind="stable")
-    x_run = np.empty(len(todo), dtype=int)
-    x_run[order] = np.cumsum(np.diff(x[order], prepend=x[order[:1]]) > MERGE_TOL)
-    order = np.lexsort((y, x_run))
-    split = (np.diff(x_run[order], prepend=0) != 0) | \
-        (np.diff(y[order], prepend=y[order[:1]]) > MERGE_TOL)
-    cluster = np.empty(len(todo), dtype=int)
-    cluster[order] = np.cumsum(split)
+    (x_run, _), (y_run, _) = (_runs(p) for p in positions[todo].T)
+    cluster = np.unique(x_run * len(todo) + y_run, return_inverse=True)[1]
     first = np.empty(len(todo), dtype=int)
     while len(todo):
         first.fill(L)
@@ -180,38 +188,75 @@ def _solve_split(a, b, c, f, g):
     return ai_f - ai_b @ z, z
 
 
+def _dual_gram(xa: np.ndarray, ya: np.ndarray, iy: np.ndarray, v: np.ndarray,
+               inv_w: np.ndarray) -> np.ndarray:
+    """Lower triangle of the dual Gram (U W^-1 U^T) (.) (V V^T), rows sorted by y.
+
+    Row i has the x-factors xa[i] (N) and the y-value iy[i] (nondecreasing)
+    of the D distinct y-values, whose factors are the rows of ya (D, M).
+    With R_m1[c, b] = sum_m2 ya[c, m2] inv_w[m1, m2] ya[b, m2],
+    G_ij = (v_i . v_j) sum_m1 xa[i, m1] xa[j, m1] R_m1[iy_i, iy_j].  The rows
+    of y-value c take one GEMM against every row of a y-value up to c, so
+    the build costs about N M D^2 / 2 + K^2 N / 2 multiply-adds.  The
+    entries above the diagonal blocks stay zero.
+    """
+    K = len(xa)
+    ends = np.searchsorted(iy, np.arange(len(ya)), side="right")
+    gram = np.zeros((K, K))
+    start = 0
+    for c, end in enumerate(ends):
+        r = ya[:c + 1] @ (ya[c, :, None] * inv_w.T)          # R_m1[c, b] at [b, m1]
+        q = r[iy[:end]] * xa[:end]
+        block = xa[start:end] @ q.T
+        block *= v[start:end] @ v[:end].T
+        gram[start:end, :end] = block
+        start = end
+    return gram
+
+
 class CoreSystem:
     """Exact core-stage solver for the problem's geometry, N, M and order.
 
     The design rows are merged first (_parallel_rows), so the system has one
     row per distinct (position, velocity direction): K rows for L samples.
-    The Gram matrix depends on neither lambda nor the signals, so it is
-    built once; each solve() factors one SPD matrix for its lambda and takes
-    every signal series as a right-hand side.  The dual (K x K) form is
-    used when K < 2NM, the primal (2NM x 2NM) form otherwise.  ``op`` is
-    the unmerged operator, against which solve_core checks the result.
+    Each coordinate axis is then snapped to its distinct values (_runs): the
+    Lissajous samples lie on a tensor grid of cosine nodes, so the 1D cosine
+    tables are evaluated once per distinct value, and the rows, ordered by
+    y-value, enter the dual Gram per distinct y-value (_dual_gram).  The
+    Gram matrix depends on neither lambda nor the signals, so it is built
+    once; each solve() factors one SPD matrix for its lambda and takes every
+    signal series as a right-hand side.  The dual (K x K) form is used when
+    K < 2NM, the primal (2NM x 2NM) form otherwise.  ``op`` is the unmerged
+    operator, against which solve_core checks the result.
     """
 
     def __init__(self, problem: CoreProblem):
         op = self.op = CoreOperator(problem)
         N, M = op.shape[:2]
-        reps, self.group, c = _parallel_rows(problem.scan.geometry.positions, op.v)
+        positions = problem.scan.geometry.positions
+        reps, group, c = _parallel_rows(positions, op.v)
+        (ix, xs), (iy, ys) = (_runs(p) for p in positions[reps].T)
+        order = np.lexsort((ix, iy))            # rows by y-value, then x-value
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.group = rank[group]
+        reps, ix, iy = reps[order], ix[order], iy[order]
         norm = np.sqrt(np.bincount(self.group, c * c))
         self.scale = c / norm[self.group]       # merged s_g = sum_l scale_l s_l
-        self.ux, self.uy = op.ux[:, reps], op.uy[:, reps]
+        self.xs, self.ys = xs, ys               # the distinct coordinate values
+        xtab, ytab = basis_matrix_1d(N, xs), basis_matrix_1d(M, ys)
+        self.ux, self.uy = xtab[:, ix], ytab[:, iy]
         self.v = norm[:, None] * op.v[reps]                         # (K, 2)
         self.K = len(reps)
         self.dual = self.K < 2 * N * M
-        u = (self.ux.T[:, :, None] * self.uy.T[:, None, :]).reshape(self.K, N * M)
         if self.dual:
             # W_+^-1, with 0 at the constant mode (weight 0), which phi0 carries
             self.inv_w = 1.0 / np.where(op.weights > 0, op.weights, np.inf)
-            self.phi0 = u[:, :1] * self.v                           # (K, 2)
-            # Phi_+ W_+^-1 Phi_+^T = (U_+ W_+^-1 U_+^T) (.) (V V^T)
-            u *= np.sqrt(self.inv_w.ravel())
-            self.gram = u @ u.T
-            self.gram *= self.v @ self.v.T
+            self.phi0 = (self.ux[0] * self.uy[0])[:, None] * self.v   # (K, 2)
+            # Phi_+ W_+^-1 Phi_+^T, on and below the diagonal
+            self.gram = _dual_gram(xtab.T[ix], ytab.T, iy, self.v, self.inv_w)
         else:
+            u = (self.ux.T[:, :, None] * self.uy.T[:, None, :]).reshape(self.K, N * M)
             phi = (u[:, :, None] * self.v[:, None, :]).reshape(self.K, 2 * N * M)
             self.gram = phi.T @ phi                                 # Phi^T Phi
 
@@ -224,7 +269,8 @@ class CoreSystem:
         s = np.zeros((self.K, 2 * len(signals)))        # column 2r + a
         np.add.at(s, self.group, self.scale[:, None] * np.concatenate(list(signals), axis=1))
         if self.dual:
-            # gram is symmetric; its Fortran-ordered transpose is factored in place
+            # the Cholesky reads gram's lower triangle: the upper one of its
+            # Fortran-ordered transpose, factored in place
             g = (4.0 / lam) * self.gram.T
             g[np.diag_indices_from(g)] += op.L
             alpha, const = _solve_split(g, self.phi0, np.zeros((2, 2)), s, np.zeros_like(s[:2]))

@@ -102,7 +102,7 @@ def _periodic_solve(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
 def _pcg(apply_a, b, start, precond, tol):
     """Preconditioned CG from the iterate start; returns (x, iterations, converged)."""
     x = start.copy()
-    r = b - apply_a(x)
+    r = b - apply_a(x) if np.any(x) else b.copy()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0, True
@@ -127,16 +127,17 @@ def _pcg(apply_a, b, start, precond, tol):
 
 def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
                   op: ConvolutionOperator, tol: float = CG_TOL,
-                  start: ScalarField | None = None) -> ScalarField:
+                  start: ScalarField | None = None,
+                  cu: np.ndarray | None = None) -> ScalarField:
     """argmin ||u - C rho||^2 + nu ||rho - rho2||^2 via CG on the normal eqs.
 
     CG starts at ``start`` (default rho2) and stops at relative residual
-    ``tol``, with T. Chan's circulant preconditioner.  Logs a warning when
-    the iteration cap is hit.
+    ``tol``, with T. Chan's circulant preconditioner.  ``cu`` is C u when
+    the caller has it.  Logs a warning when the iteration cap is hit.
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
-    b = op.apply(u.values) + nu * rho2.values
+    b = (op.apply(u.values) if cu is None else cu) + nu * rho2.values
     denom = op.periodic_power + nu
 
     def apply_a(x):
@@ -228,19 +229,22 @@ class DeconvProblem:
 
 @dataclass(frozen=True)
 class FirstStep:
-    """The first HQS iteration: data iterate, its sigma, denoised iterate."""
+    """The first HQS iteration: data iterate, its sigma, denoised iterate,
+    and C u, which every data step of the run reuses."""
 
     rho1: ScalarField
     sigma: float
     rho2: ScalarField
+    cu: np.ndarray
 
 
 def hqs_first_step(problem: DeconvProblem, op: ConvolutionOperator) -> FirstStep:
     """HQS iteration 1 (nu = nu0 from rho2 = 0); it does not depend on mu."""
     u = problem.u
-    rho1 = tikhonov_step(u, ScalarField.zeros(u.nx, u.ny), problem.nu0, op)
+    cu = op.apply(u.values)
+    rho1 = tikhonov_step(u, ScalarField.zeros(u.nx, u.ny), problem.nu0, op, cu=cu)
     sigma = estimate_sigma(rho1)
-    return FirstStep(rho1, sigma, denoise(rho1, sigma, problem.denoiser))
+    return FirstStep(rho1, sigma, denoise(rho1, sigma, problem.denoiser), cu)
 
 
 def hqs_deconvolve(problem: DeconvProblem, op: ConvolutionOperator | None = None,
@@ -266,7 +270,7 @@ def hqs_deconvolve(problem: DeconvProblem, op: ConvolutionOperator | None = None
         if not np.isfinite(nu):  # sigma collapsed to 0: infinite coupling
             rho1 = ScalarField(rho2.values.copy())
         else:
-            rho1 = tikhonov_step(u, rho2, nu, op, start=rho1)
+            rho1 = tikhonov_step(u, rho2, nu, op, start=rho1, cu=first.cu)
         sigma = estimate_sigma(rho1)
         rho2 = denoise(rho1, sigma, problem.denoiser)
     return rho2

@@ -167,7 +167,8 @@ def write_series_csv(series: ScanSeries, path: str, h: float) -> None:
 def read_series_csv(path: str) -> tuple[ScanSeries, float | None]:
     """Read a series CSV; returns (series, h from the metadata line or None).
 
-    An h that is present must be positive and finite.
+    An h that is present must be positive and finite, every number must be
+    finite, and every position must lie in Omega = [-1,1]^2.
     """
     h = None
     fraction = 0.0
@@ -200,5 +201,10 @@ def read_series_csv(path: str) -> tuple[ScanSeries, float | None]:
     if not rows or any(len(r) != 7 for r in rows):
         raise FormatError(f"{path}: expected 7 columns t,rx,ry,vx,vy,sx,sy")
     data = np.asarray(rows, dtype=float)
-    geom = ScanGeometry(data[:, 0], data[:, 1:3], data[:, 3:5])
+    if not (np.all(np.isfinite(data)) and np.isfinite(fraction)):
+        raise FormatError(f"{path}: non-finite number")
+    try:
+        geom = ScanGeometry(data[:, 0], data[:, 1:3], data[:, 3:5])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return ScanSeries(geom, data[:, 5:7], fraction, seed), h

@@ -273,3 +273,19 @@ def test_scan_with_bad_kernel_width_exits_3(fast_scan, tmp_path, capsys, h):
     scan.write_text(f"# h={h} fraction=0.0 seed=0\n" + "".join(lines[1:]))
     assert main(FAST + ["reconstruct", str(scan), "--out", str(tmp_path / "rec")]) == 3
     assert "kernel width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (5, "nan", "non-finite"), (6, "inf", "non-finite"),
+    (1, "1.5", "inside Omega"), (3, "nan", "non-finite")])
+def test_scan_with_bad_values_exits_3(fast_scan, tmp_path, capsys, column, value, message):
+    # non-finite numbers and positions outside Omega are malformed input,
+    # not numerical failures
+    lines = open(fast_scan).read().splitlines(keepends=True)
+    row = lines[-1].rstrip("\n").split(",")
+    row[column] = value
+    scan = tmp_path / "scan.csv"
+    scan.write_text("".join(lines[:-1]) + ",".join(row) + "\n")
+    assert main(FAST + ["reconstruct", str(scan), "--out", str(tmp_path / "rec")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "DLASCL" not in err

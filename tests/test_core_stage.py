@@ -4,7 +4,8 @@ import pytest
 from mpirecon.core_stage import (CoreOperator, CoreProblem, CoreSystem, energy,
                                  gradient, predict, solve_core, trace_field)
 from mpirecon.forward import ScanSeries
-from mpirecon.spectral import CoeffTensor, cos_eval, synthesize
+from mpirecon.spectral import (CoeffTensor, basis_matrix_1d, cos_eval, eigenvalue_grid,
+                               synthesize)
 from mpirecon.trajectory import LissajousSpec, ScanGeometry, make_scan, merge_scans, rotate_scan
 
 
@@ -197,15 +198,63 @@ def test_solve_unseen_constant_mode_stays_zero(N):
     assert sol.converged
 
 
-@pytest.mark.parametrize("dense, K", [(False, 817), (True, 1634)])
-def test_preset_scans_merge_mirrored_samples(dense, K):
-    # the cosine-phase Lissajous curve is time-reversal symmetric: samples
-    # l and L - l share a position with opposite velocities
+def preset_scan(dense):
     geom = make_scan(LissajousSpec(), 1632)
-    if dense:
-        geom = merge_scans(geom, rotate_scan(geom, 1))
+    return merge_scans(geom, rotate_scan(geom, 1)) if dense else geom
+
+
+@pytest.mark.parametrize("dense, K, distinct", [
+    pytest.param(False, 817, (52, 49), id="False-817"),
+    pytest.param(True, 1634, (97, 97), id="True-1634")])
+def test_preset_scans_merge_mirrored_samples(dense, K, distinct):
+    # the cosine-phase Lissajous curve is time-reversal symmetric: samples
+    # l and L - l share a position with opposite velocities, and its
+    # equidistant samples lie on a tensor grid of cosine nodes
+    geom = preset_scan(dense)
     system = CoreSystem(CoreProblem(ScanSeries(geom, np.zeros((len(geom), 2))), N=4, M=4))
     assert system.K == K == len(geom) // 2 + (2 if dense else 1)
+    assert (len(system.xs), len(system.ys)) == distinct
+
+
+def only_x_repeats_scan():
+    # seven x-values, each spread over 6e-15 as on the preset scans, and
+    # distinct y-values
+    rng = np.random.default_rng(21)
+    x = rng.choice(np.cos(np.pi * np.arange(7) / 6), 300) + rng.uniform(-3e-15, 3e-15, 300)
+    return ScanGeometry(np.arange(300) / 300.0, np.column_stack([x, rng.uniform(-1, 1, 300)]),
+                        rng.normal(size=(300, 2)))
+
+
+def jittered_scan():
+    # the sparse preset with positions moved by up to 1e-3: no coordinate repeats
+    geom = preset_scan(False)
+    rng = np.random.default_rng(22)
+    pos = (1 - 2e-3) * geom.positions + rng.uniform(-1e-3, 1e-3, geom.positions.shape)
+    return ScanGeometry(geom.times, pos, geom.velocities)
+
+
+@pytest.mark.parametrize("scan, distinct", [
+    pytest.param(lambda: preset_scan(False), (52, 49), id="sparse"),
+    pytest.param(lambda: preset_scan(True), (97, 97), id="dense"),
+    pytest.param(only_x_repeats_scan, (7, 300), id="only_x_repeats"),
+    pytest.param(jittered_scan, (1632, 1632), id="jittered")])
+def test_dual_gram_matches_khatri_rao_reference(scan, distinct):
+    # the Gram from the distinct coordinate values equals the Khatri-Rao
+    # build on the unsnapped positions of the merged rows
+    geom = scan()
+    rng = np.random.default_rng(23)
+    problem = CoreProblem(ScanSeries(geom, rng.normal(size=(len(geom), 2))),
+                          N=20, M=44, order=2, lam=0.01)
+    system = CoreSystem(problem)
+    assert system.dual and (len(system.xs), len(system.ys)) == distinct
+    rep = geom.positions[np.unique(system.group, return_index=True)[1]]
+    u = (basis_matrix_1d(20, rep[:, 0]).T[:, :, None]
+         * basis_matrix_1d(44, rep[:, 1]).T[:, None, :]).reshape(system.K, -1)
+    w = eigenvalue_grid(20, 44) ** 2
+    want = (u / np.where(w > 0, w, np.inf).ravel()) @ u.T * (system.v @ system.v.T)
+    err = np.max(np.abs(np.tril(system.gram) - np.tril(want)))
+    assert err <= 1e-13 * np.max(np.abs(want))
+    assert solve_core(problem).final_residual <= 1e-10
 
 
 def mirrored_series(seed):
@@ -251,8 +300,7 @@ def test_scan_without_duplicates_keeps_every_row():
 def test_solve_self_consistency_band_limited():
     # noiseless signals from a known band-limited tensor on the dense merged
     # scan; tiny lambda recovers the generating coefficients
-    geom = make_scan(LissajousSpec(), 1632)
-    geom = merge_scans(geom, rotate_scan(geom, 1))
+    geom = preset_scan(True)
     rng = np.random.default_rng(12)
     gt = CoeffTensor(rng.normal(size=(12, 12, 2, 2)))
     clean = ScanSeries(geom, np.zeros((len(geom), 2)))
