@@ -160,17 +160,3 @@ def load_config(path: str) -> PipelineConfig:
             set_option(cfg, key.strip(), value.strip())
     return cfg
 
-
-def save_config(cfg: PipelineConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        for f in fields(cfg):
-            group = getattr(cfg, f.name)
-            for g in fields(group):
-                key = f"{f.name}.{g.name}"
-                for alias, target in _ALIASES.items():
-                    if target == key:
-                        key = alias
-                val = getattr(group, g.name)
-                if isinstance(val, bool):
-                    val = "true" if val else "false"
-                fh.write(f"{key}={val}\n")

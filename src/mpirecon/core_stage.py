@@ -85,8 +85,7 @@ class CoreOperator:
         self.v = geom.velocities                        # (L, 2)
         self.ux = basis_matrix_1d(problem.N, geom.positions[:, 0])  # (N, L)
         self.uy = basis_matrix_1d(problem.M, geom.positions[:, 1])  # (M, L)
-        mu = eigenvalue_grid(problem.N, problem.M)
-        self.weights = mu if problem.order == 1 else mu * mu
+        self.weights = _mode_weights(problem)
         self.reg = (problem.lam / OMEGA_AREA) * self.weights        # (N, M)
         self.shape = (problem.N, problem.M, 2, 2)
 
@@ -114,6 +113,12 @@ class CoreOperator:
         resid = signals - self.apply_b(coeffs)
         reg = float(np.sum(self.reg[:, :, None, None] * coeffs ** 2)) / 2.0
         return reg + float(np.sum(resid ** 2)) / (2.0 * self.L)
+
+
+def _mode_weights(problem: CoreProblem) -> np.ndarray:
+    """(N, M) regularizer weights w_m: mu_m (order 1) or mu_m^2 (order 2)."""
+    mu = eigenvalue_grid(problem.N, problem.M)
+    return mu if problem.order == 1 else mu * mu
 
 
 def _adjoint(ux: np.ndarray, uy: np.ndarray, v: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -226,15 +231,16 @@ class CoreSystem:
     Gram matrix depends on neither lambda nor the signals, so it is built
     once; each solve() factors one SPD matrix for its lambda and takes every
     signal series as a right-hand side.  The dual (K x K) form is used when
-    K < 2NM, the primal (2NM x 2NM) form otherwise.  ``op`` is the unmerged
-    operator, against which solve_core checks the result.
+    K < 2NM, the primal (2NM x 2NM) form otherwise.
     """
 
     def __init__(self, problem: CoreProblem):
-        op = self.op = CoreOperator(problem)
-        N, M = op.shape[:2]
-        positions = problem.scan.geometry.positions
-        reps, group, c = _parallel_rows(positions, op.v)
+        N, M = self.N, self.M = problem.N, problem.M
+        geom = problem.scan.geometry
+        self.L = len(geom)
+        self.weights = _mode_weights(problem)
+        positions, velocities = geom.positions, geom.velocities
+        reps, group, c = _parallel_rows(positions, velocities)
         (ix, xs), (iy, ys) = (_runs(p) for p in positions[reps].T)
         order = np.lexsort((ix, iy))            # rows by y-value, then x-value
         rank = np.empty_like(order)
@@ -246,12 +252,12 @@ class CoreSystem:
         self.xs, self.ys = xs, ys               # the distinct coordinate values
         xtab, ytab = basis_matrix_1d(N, xs), basis_matrix_1d(M, ys)
         self.ux, self.uy = xtab[:, ix], ytab[:, iy]
-        self.v = norm[:, None] * op.v[reps]                         # (K, 2)
+        self.v = norm[:, None] * velocities[reps]                   # (K, 2)
         self.K = len(reps)
         self.dual = self.K < 2 * N * M
         if self.dual:
             # W_+^-1, with 0 at the constant mode (weight 0), which phi0 carries
-            self.inv_w = 1.0 / np.where(op.weights > 0, op.weights, np.inf)
+            self.inv_w = 1.0 / np.where(self.weights > 0, self.weights, np.inf)
             self.phi0 = (self.ux[0] * self.uy[0])[:, None] * self.v   # (K, 2)
             # Phi_+ W_+^-1 Phi_+^T, on and below the diagonal
             self.gram = _dual_gram(xtab.T[ix], ytab.T, iy, self.v, self.inv_w)
@@ -264,24 +270,23 @@ class CoreSystem:
         """(R, N, M, 2, 2) minimizers for R signal series of shape (L, 2)."""
         if not lam > 0:
             raise ValueError("lambda must be positive")
-        op = self.op
-        N, M = op.shape[:2]
+        N, M = self.N, self.M
         s = np.zeros((self.K, 2 * len(signals)))        # column 2r + a
         np.add.at(s, self.group, self.scale[:, None] * np.concatenate(list(signals), axis=1))
         if self.dual:
             # the Cholesky reads gram's lower triangle: the upper one of its
             # Fortran-ordered transpose, factored in place
             g = (4.0 / lam) * self.gram.T
-            g[np.diag_indices_from(g)] += op.L
+            g[np.diag_indices_from(g)] += self.L
             alpha, const = _solve_split(g, self.phi0, np.zeros((2, 2)), s, np.zeros_like(s[:2]))
             x = _adjoint(self.ux, self.uy, self.v, alpha)
             x *= (4.0 / lam) * self.inv_w[:, :, None, None]
             x[0, 0] = const.T
             return np.moveaxis(x.reshape(N, M, -1, 2, 2), 2, 0)
         # primal unknowns are rows (mode, b)
-        h = self.gram / op.L
-        h[np.diag_indices_from(h)] += (lam / OMEGA_AREA) * np.repeat(op.weights.ravel(), 2)
-        b = np.swapaxes(_adjoint(self.ux, self.uy, self.v, s) / op.L, 2, 3).reshape(2 * N * M, -1)
+        h = self.gram / self.L
+        h[np.diag_indices_from(h)] += (lam / OMEGA_AREA) * np.repeat(self.weights.ravel(), 2)
+        b = np.swapaxes(_adjoint(self.ux, self.uy, self.v, s) / self.L, 2, 3).reshape(2 * N * M, -1)
         xp, const = _solve_split(h[2:, 2:], h[2:, :2], h[:2, :2], b[2:], b[:2])
         return np.concatenate([const, xp]).reshape(N, M, 2, -1, 2).transpose(3, 0, 1, 4, 2)
 
@@ -312,9 +317,9 @@ def solve_core(problem: CoreProblem) -> CoreSolution:
     Reports the relative residual of the unmerged normal equations and the
     energy.
     """
-    system = CoreSystem(problem)
-    op, s = system.op, problem.scan.signals
-    x = system.solve(s[None], problem.lam)[0]
+    s = problem.scan.signals
+    x = CoreSystem(problem).solve(s[None], problem.lam)[0]
+    op = CoreOperator(problem)
     b = op.rhs(s)
     resid = float(np.linalg.norm(op.apply_h(x) - b)) / (float(np.linalg.norm(b)) or 1.0)
     return CoreSolution(CoeffTensor(x), 0, resid, op.energy(x, s),

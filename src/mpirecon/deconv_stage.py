@@ -7,12 +7,20 @@ data step with a denoising step:
     sigma <- sqrt(Var(rho1));  nu <- mu / sigma^2
     rho2 <- Denoiser(rho1, sigma)
 
-C is the linear (zero-padded) discrete convolution with kappa_h, applied by
-the forward model's FFT routine with the DCT-I spectrum of kappa_h's
-nonnegative-offset quadrant, and the Tikhonov subproblem is solved by
-CG on the normal equations, preconditioned with T. Chan's optimal circulant
-approximation of C.  The first iteration does not depend on mu, so a search
-over mu computes it once per trace (``hqs_first_step``).  The denoiser is
+C = W Ct W^T is the linear (zero-padded) discrete convolution with kappa_h:
+the circulant Ct on the forward model's padded FFT grid, whose real
+spectrum K is the DCT-I of kappa_h's nonnegative-offset quadrant, seen
+through the image window W.  The Tikhonov subproblem (C^2 + nu) rho = b is
+solved by CG on the normal equations, preconditioned with the padded-grid
+inverse restricted to the window, M = W F^-1 diag(1 / (K^2 + nu)) F W^T:
+one more convolution per iteration, SPD as the restriction of an SPD
+circulant (Ku & Kuo, IEEE TSP 40, 1992).  Each data step hands on its
+solution with C^2 of it (``DataIterate``), taken from CG's own residual at
+exit, C^2 x = b - r - nu x, so the next step's initial residual needs no
+convolution.  A data step that takes no CG iteration returns its start
+unchanged; from there every HQS iteration repeats bitwise, so the loop
+stops.  The first iteration does not depend on mu, so a search over mu
+computes it once per trace (``hqs_first_step``).  The denoiser is
 pluggable: the built-in choice is a Gaussian blur keyed to sigma, and an
 external-process protocol lets a learned denoiser drop in without code
 changes.
@@ -57,18 +65,16 @@ class ConvolutionOperator:
                 and np.allclose(kernel, kernel[:, ::-1], rtol=1e-12, atol=0.0)):
             raise ValueError("kernel must be even in each axis")
         self._khat = quadrant_spectrum(kernel[nx - 1:, ny - 1:])
-        # spectrum of the periodic (wrapped) kernel
+        # spectrum of the periodic (wrapped) kernel on the n x n grid
         self.periodic_spectrum = sfft.fft2(_wrap(kernel, shape))
-        # |c|^2 on the rfft2 half plane, c the spectrum of T. Chan's optimal
-        # circulant: the wrap with offset k weighted by (n - |k|) / n per
-        # axis.  The preconditioner of C^2 + nu I is 1 / (|c|^2 + nu).
-        wx = 1.0 - np.abs(np.arange(1 - nx, nx)) / nx
-        wy = 1.0 - np.abs(np.arange(1 - ny, ny)) / ny
-        optimal = _wrap(kernel * np.outer(wx, wy), shape)
-        self.periodic_power = np.abs(sfft.rfft2(optimal)) ** 2
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return convolve_same(x, self._khat)
+
+    def preconditioner(self, nu: float):
+        """r -> W (Ct^2 + nu)^-1 W^T r, Ct the circulant on the padded grid."""
+        spectrum = 1.0 / (self._khat * self._khat + nu)
+        return lambda r: convolve_same(r, spectrum)
 
 
 def _wrap(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -94,20 +100,14 @@ def build_convolution_operator(params: KernelParams, nx: int,
     return ConvolutionOperator(kernel, (nx, ny))
 
 
-def _periodic_solve(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Apply the circulant operator whose rfft2 half spectrum is 1 / denom."""
-    return sfft.irfft2(sfft.rfft2(r) / denom, r.shape)
+def _pcg(apply_a, b, x, r, precond, tol):
+    """Preconditioned CG from the iterate x with residual r = b - A x.
 
-
-def _pcg(apply_a, b, start, precond, tol):
-    """Preconditioned CG from the iterate start; returns (x, iterations, converged)."""
-    x = start.copy()
-    r = b - apply_a(x) if np.any(x) else b.copy()
+    x and r are updated in place; returns (iterations, converged).
+    """
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, True
     if float(np.linalg.norm(r)) <= tol * bnorm:
-        return x, 0, True
+        return 0, True
     z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z))
@@ -117,40 +117,56 @@ def _pcg(apply_a, b, start, precond, tol):
         x += alpha * p
         r -= alpha * ap
         if float(np.linalg.norm(r)) <= tol * bnorm:
-            return x, it, True
+            return it, True
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, CG_MAX_ITER, False
+    return CG_MAX_ITER, False
+
+
+@dataclass
+class DataIterate(ScalarField):
+    """A data step's solution rho1 together with c2 = C^2 rho1."""
+
+    c2: np.ndarray
 
 
 def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
                   op: ConvolutionOperator, tol: float = CG_TOL,
                   start: ScalarField | None = None,
-                  cu: np.ndarray | None = None) -> ScalarField:
+                  cu: np.ndarray | None = None) -> DataIterate:
     """argmin ||u - C rho||^2 + nu ||rho - rho2||^2 via CG on the normal eqs.
 
     CG starts at ``start`` (default rho2) and stops at relative residual
-    ``tol``, with T. Chan's circulant preconditioner.  ``cu`` is C u when
-    the caller has it.  Logs a warning when the iteration cap is hit.
+    ``tol``, preconditioned on the padded grid.  A ``start`` that is a
+    DataIterate brings C^2 of itself, so the initial residual costs no
+    convolution; when CG then takes no iteration, ``start`` itself is
+    returned.  ``cu`` is C u when the caller has it.  Logs a warning when
+    the iteration cap is hit.
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
     b = (op.apply(u.values) if cu is None else cu) + nu * rho2.values
-    denom = op.periodic_power + nu
+    if not np.any(b):  # the minimizer is 0
+        return DataIterate(np.zeros_like(b), np.zeros_like(b))
+    x0 = rho2 if start is None else start
+    if isinstance(x0, DataIterate):
+        c2 = x0.c2
+    else:
+        c2 = op.apply(op.apply(x0.values)) if np.any(x0.values) else np.zeros_like(b)
 
     def apply_a(x):
         return op.apply(op.apply(x)) + nu * x
 
-    def precond(r):
-        return _periodic_solve(r, denom)
-
-    x0 = rho2.values if start is None else start.values
-    x, iters, ok = _pcg(apply_a, b, x0, precond, tol)
+    x = x0.values.copy()
+    r = b - (c2 + nu * x)   # as b - A x, so that consistent data gives r = 0 exactly
+    iters, ok = _pcg(apply_a, b, x, r, op.preconditioner(nu), tol)
     if not ok:
         log.warning("tikhonov_step: CG hit the iteration cap (%d)", iters)
-    return ScalarField(x)
+    if iters == 0:
+        return x0 if isinstance(x0, DataIterate) else DataIterate(x, c2)
+    return DataIterate(x, b - r - nu * x)
 
 
 def estimate_sigma(rho1: ScalarField) -> float:
@@ -229,10 +245,10 @@ class DeconvProblem:
 
 @dataclass(frozen=True)
 class FirstStep:
-    """The first HQS iteration: data iterate, its sigma, denoised iterate,
-    and C u, which every data step of the run reuses."""
+    """The first HQS iteration: data iterate (with C^2 of it), its sigma,
+    denoised iterate, and C u, which every data step of the run reuses."""
 
-    rho1: ScalarField
+    rho1: DataIterate
     sigma: float
     rho2: ScalarField
     cu: np.ndarray
@@ -255,9 +271,11 @@ def hqs_deconvolve(problem: DeconvProblem, op: ConvolutionOperator | None = None
     data iterate (sigma_0 comes from nu0).  A constant iterate gives
     sigma = 0, which short-circuits the denoiser to the identity and the
     next data step to rho1 = rho2 (the infinite-coupling limit).  Each data
-    step after the first starts CG at the previous data iterate.  ``first``
-    is ``hqs_first_step`` of a problem with the same trace, nu0 and
-    denoiser; the result is the same as without it.
+    step after the first starts CG at the previous data iterate.  A data
+    step that returns its start leaves (rho1, sigma, rho2) unchanged, so
+    every later iteration would repeat it bitwise: the loop returns rho2
+    there.  ``first`` is ``hqs_first_step`` of a problem with the same
+    trace, nu0 and denoiser; the result is the same as without it.
     """
     u = problem.u
     if op is None:
@@ -270,7 +288,10 @@ def hqs_deconvolve(problem: DeconvProblem, op: ConvolutionOperator | None = None
         if not np.isfinite(nu):  # sigma collapsed to 0: infinite coupling
             rho1 = ScalarField(rho2.values.copy())
         else:
-            rho1 = tikhonov_step(u, rho2, nu, op, start=rho1, cu=first.cu)
+            step = tikhonov_step(u, rho2, nu, op, start=rho1, cu=first.cu)
+            if step is rho1:  # the fixed point
+                return rho2
+            rho1 = step
         sigma = estimate_sigma(rho1)
         rho2 = denoise(rho1, sigma, problem.denoiser)
     return rho2

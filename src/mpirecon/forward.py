@@ -159,9 +159,8 @@ def write_series_csv(series: ScanSeries, path: str, h: float) -> None:
         fh.write(f"# h={float(h)!r} fraction={float(series.noise_fraction)!r} "
                  f"seed={series.seed}\n")
         fh.write("t,rx,ry,vx,vy,sx,sy\n")
-        for t, r, v, s in zip(g.times, g.positions, g.velocities, series.signals):
-            row = (t, r[0], r[1], v[0], v[1], s[0], s[1])
-            fh.write(",".join(repr(float(v_)) for v_ in row) + "\n")
+        rows = np.column_stack([g.times, g.positions, g.velocities, series.signals]).tolist()
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_series_csv(path: str) -> tuple[ScanSeries, float | None]:

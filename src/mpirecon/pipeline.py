@@ -313,7 +313,7 @@ def search_mu(cfg: PipelineConfig, traces: list[tuple[ScalarField, ScalarField]]
 
 
 # ---------------------------------------------------------------------------
-# experiment driver (used by the CLI and the acceptance suite)
+# experiment driver (used by the acceptance suite)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mpirecon.cli import main
 from mpirecon.config import (ConfigError, PipelineConfig, apply_overrides,
-                             apply_preset, load_config, save_config)
+                             apply_preset, load_config)
 from mpirecon.fields import load_field
 from mpirecon.forward import write_series_csv, ScanSeries
 from mpirecon.spectral import load_coeffs
@@ -42,12 +43,21 @@ def test_config_file_and_overrides(tmp_path):
 
 
 def test_config_round_trip(tmp_path):
+    # a file that names every option as section.field loads back equal
     cfg = PipelineConfig()
     cfg.core.lam = 0.123
     cfg.trajectory.merge_rotated = True
-    path = str(tmp_path / "cfg.txt")
-    save_config(cfg, path)
-    back = load_config(path)
+    lines = []
+    for section in fields(cfg):
+        group = getattr(cfg, section.name)
+        for f in fields(group):
+            value = getattr(group, f.name)
+            text = str(value).lower() if isinstance(value, bool) else str(value)
+            lines.append(f"{section.name}.{f.name}={text}\n")
+    path = tmp_path / "cfg.txt"
+    path.write_text("".join(lines))
+    back = load_config(str(path))
+    assert back == cfg
     assert back.core.lam == 0.123
     assert back.trajectory.merge_rotated is True
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from mpirecon import deconv_stage
 from mpirecon.deconv_stage import (CG_TOL, ConvolutionOperator, DeconvProblem, DenoiserSpec,
                                    build_convolution_operator, denoise, estimate_sigma,
-                                   hqs_deconvolve, hqs_first_step, tikhonov_step,
-                                   _periodic_solve)
+                                   DataIterate, hqs_deconvolve, hqs_first_step,
+                                   tikhonov_step)
 from mpirecon.fields import ScalarField, cell_centers
 from mpirecon.forward import core_response_field
 from mpirecon.kernels import KernelParams, kernel_trace
@@ -23,19 +24,6 @@ def gaussian_operator(n, std_cells=1.5):
     ker = np.outer(g, g)
     ker /= ker.sum()
     return ConvolutionOperator(ker, (n, n))
-
-
-def optimal_circulant_eigenvalues(op, shape):
-    """diag(F T F*) of the operator's dense matrix T, F the unitary 2D DFT.
-
-    These are the eigenvalues of T. Chan's optimal circulant approximation
-    of T, the circulant closest to T in the Frobenius norm.
-    """
-    nx, ny = shape
-    cols = [op.apply(e.reshape(shape)).ravel() for e in np.eye(nx * ny)]
-    T = np.stack(cols, axis=1)
-    F = np.kron(sfft.fft(np.eye(nx), norm="ortho"), sfft.fft(np.eye(ny), norm="ortho"))
-    return np.einsum("ij,jk,ik->i", F, T, F.conj()).reshape(shape)
 
 
 def test_operator_delta_reproduces_kernel():
@@ -118,31 +106,32 @@ def test_operator_matches_direct_summation_on_grid(shape):
     assert np.max(np.abs(op.apply(x) - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
-@pytest.mark.parametrize("shape", [(9, 12), (12, 12), (11, 9)])
-def test_real_fft_preconditioner_equals_complex(shape):
-    # the rfft2 solve with periodic_power is the complex solve with the
-    # T. Chan circulant's spectrum c: (|c|^2 + nu)^-1 r
-    op = build_convolution_operator(PARAMS, *shape)
-    c = optimal_circulant_eigenvalues(op, shape)
-    r = np.random.default_rng(12).normal(size=shape)
-    nu = 0.03
-    complex_fft = np.real(sfft.ifft2(sfft.fft2(r) / (np.abs(c) ** 2 + nu)))
-    got = _periodic_solve(r, op.periodic_power + nu)
-    assert np.max(np.abs(got - complex_fft)) <= 1e-13 * np.max(np.abs(complex_fft))
-
-
-def test_periodic_power_is_optimal_circulant_spectrum():
-    # odd x even grid and a generic kernel even in each axis
-    nx, ny = 6, 7
+def test_preconditioner_is_windowed_padded_inverse():
+    # M = W (Ct^2 + nu)^-1 W^T, Ct the circulant on the padded FFT grid that
+    # holds the kernel at offsets -(n-1)..(n-1): built densely here
+    nx, ny, nu = 6, 7, 0.03
     ker = np.random.default_rng(13).normal(size=(2 * nx - 1, 2 * ny - 1))
     ker = ker + ker[::-1]
-    op = ConvolutionOperator(ker + ker[:, ::-1], (nx, ny))
-    want = np.abs(optimal_circulant_eigenvalues(op, (nx, ny))[:, : ny // 2 + 1]) ** 2
-    assert op.periodic_power.shape == want.shape
-    assert np.max(np.abs(op.periodic_power - want)) <= 1e-12 * np.max(want)
-    # the plain wrap-sum spectrum is a different circulant
-    plain = np.abs(op.periodic_spectrum[:, : ny // 2 + 1]) ** 2
-    assert np.max(np.abs(plain - want)) > 1e-3 * np.max(want)
+    ker = ker + ker[:, ::-1]
+    op = ConvolutionOperator(ker, (nx, ny))
+    px, py = 2 * sfft.next_fast_len(nx), 2 * sfft.next_fast_len(ny)
+    ker_pad = np.zeros((px, py))
+    for d1 in range(1 - nx, nx):
+        for d2 in range(1 - ny, ny):
+            ker_pad[d1 % px, d2 % py] = ker[d1 + nx - 1, d2 + ny - 1]
+    i, j = np.indices((px, py)).reshape(2, -1)
+    ct = ker_pad[(i[:, None] - i[None]) % px, (j[:, None] - j[None]) % py]
+    window = (i < nx) & (j < ny)
+    unit = np.eye(nx * ny).reshape(-1, nx, ny)
+    dense_c = np.stack([op.apply(e).ravel() for e in unit], axis=1)
+    np.testing.assert_allclose(ct[np.ix_(window, window)], dense_c, atol=1e-12)
+    want = np.linalg.inv(ct @ ct + nu * np.eye(px * py))[np.ix_(window, window)]
+    precond = op.preconditioner(nu)
+    got = np.stack([precond(e).ravel() for e in unit], axis=1)
+    # the dense inverse loses digits to the condition number of Ct^2 + nu
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    np.testing.assert_allclose(got, got.T, atol=1e-12 * np.max(np.abs(got)))
+    assert np.min(np.linalg.eigvalsh(got)) > 0
 
 
 def test_operator_agrees_with_forward_module():
@@ -367,6 +356,56 @@ def test_search_mu_rows_equal_independent_deconvolutions():
         scores = [score_pair(run_deconv(cfg, tr, mu), gt) for tr, gt in pairs]
         assert psnr_mean == float(np.mean([p for p, _ in scores]))
         assert ssim_mean == float(np.mean([s for _, s in scores]))
+
+
+def disk_trace(n):
+    op = build_convolution_operator(PARAMS, n, n)
+    rho = np.zeros((n, n))
+    rho[n // 4: n // 2, n // 3: 2 * n // 3] = 1.0
+    noise = 0.01 * np.random.default_rng(21).normal(size=(n, n))
+    return op, ScalarField(op.apply(rho) + noise)
+
+
+def test_hqs_data_steps_meet_cg_tol(monkeypatch):
+    # every data step of full HQS runs, C^2 rho1 carried from step to step,
+    # meets CG_TOL on the true normal-equation residual
+    op, u = disk_trace(32)
+    cu = op.apply(u.values)
+    step = deconv_stage.tikhonov_step
+    seen = []
+
+    def checked_step(u_, rho2, nu, op_, **kw):
+        out = step(u_, rho2, nu, op_, **kw)
+        b = cu + nu * rho2.values
+        c2 = op.apply(op.apply(out.values))
+        seen.append((isinstance(kw.get("start"), DataIterate),
+                     np.linalg.norm(c2 + nu * out.values - b) / np.linalg.norm(b),
+                     np.linalg.norm(out.c2 - c2) / np.linalg.norm(b)))
+        return out
+
+    monkeypatch.setattr(deconv_stage, "tikhonov_step", checked_step)
+    for mu in (1e-4, 1e-2, 1.0):
+        hqs_deconvolve(DeconvProblem(u, PARAMS, mu=mu, nu0=1.0, iters=8), op)
+    assert sum(carried for carried, _, _ in seen) >= 15
+    assert max(res for _, res, _ in seen) <= 1.01 * CG_TOL
+    assert max(drift for _, _, drift in seen) <= 1e-3 * CG_TOL
+
+
+def test_hqs_stops_at_the_fixed_point_bitwise(monkeypatch):
+    # at mu = 1e-4 the data step of iteration 6 takes no CG iteration, so
+    # iterations 6.. repeat iteration 5 bitwise and the loop stops there
+    op, u = disk_trace(24)
+    outs = {k: hqs_deconvolve(DeconvProblem(u, PARAMS, mu=1e-4, nu0=1.0, iters=k), op)
+            for k in range(4, 9)}
+    assert not np.array_equal(outs[4].values, outs[8].values)
+    for k in range(5, 8):
+        np.testing.assert_array_equal(outs[k].values, outs[8].values)
+    step = deconv_stage.tikhonov_step
+    calls = []
+    monkeypatch.setattr(deconv_stage, "tikhonov_step",
+                        lambda *a, **kw: calls.append(1) or step(*a, **kw))
+    hqs_deconvolve(DeconvProblem(u, PARAMS, mu=1e-4, nu0=1.0, iters=8), op)
+    assert len(calls) == 6    # the first step and iterations 2..6
 
 
 def test_hqs_deterministic():

@@ -221,6 +221,37 @@ def test_series_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.geometry.positions, geom.positions)
 
 
+def dense_series():
+    geom = make_scan(LissajousSpec(), 3264)
+    signals = np.random.default_rng(7).normal(size=(3264, 2)) * 10.0 ** np.arange(-8, 8, 8)
+    return ScanSeries(geom, signals, 0.05, 99)
+
+
+def test_series_csv_bytes_equal_per_value_writer(tmp_path):
+    # the row-at-once writer formats every value as repr(float(v)) did
+    series = dense_series()
+    g = series.geometry
+    path = tmp_path / "scan.csv"
+    write_series_csv(series, str(path), h=0.02)
+    want = ["# h=0.02 fraction=0.05 seed=99", "t,rx,ry,vx,vy,sx,sy"]
+    for t, r, v, s in zip(g.times, g.positions, g.velocities, series.signals):
+        want.append(",".join(repr(float(x)) for x in (t, r[0], r[1], v[0], v[1], s[0], s[1])))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_series_csv_dense_round_trip_is_exact(tmp_path):
+    series = dense_series()
+    path = str(tmp_path / "scan.csv")
+    write_series_csv(series, path, h=0.02)
+    back, h = read_series_csv(path)
+    assert h == 0.02 and back.noise_fraction == 0.05 and back.seed == 99
+    for got, want in ((back.geometry.times, series.geometry.times),
+                      (back.geometry.positions, series.geometry.positions),
+                      (back.geometry.velocities, series.geometry.velocities),
+                      (back.signals, series.signals)):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("h", ["-0.05", "0", "inf", "nan"])
 def test_series_csv_rejects_bad_kernel_width(tmp_path, h):
     path = tmp_path / "scan.csv"
