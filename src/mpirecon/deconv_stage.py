@@ -39,7 +39,7 @@ from scipy import fft as sfft
 from scipy.ndimage import gaussian_filter
 
 from .fields import ScalarField, load_field, save_field
-from .forward import convolve_same, mirror_stencil, offset_grids, quadrant_spectrum
+from .forward import convolve_same, offset_grids, quadrant_spectrum
 from .kernels import KernelParams, kernel_trace
 
 log = logging.getLogger(__name__)
@@ -49,24 +49,18 @@ CG_TOL = 1e-6       # relative residual at which a Tikhonov step's CG stops
 
 
 class ConvolutionOperator:
-    """Linear (zero-padded) 2D convolution with a full-stencil kernel.
+    """Linear (zero-padded) 2D convolution with a kernel even in each axis.
 
-    The kernel array holds samples at all offsets -(n-1)..(n-1) per axis
-    (shape (2nx-1, 2ny-1)), already scaled by the cell area.  It must be
-    even in each axis, k(-y1, y2) = k(y1, -y2) = k(y), so that C is its own
-    adjoint and its spectrum is the DCT-I of the nonnegative quadrant.
+    The kernel is given by its nonnegative-offset quadrant, quadrant[i, j]
+    at offset (i, j), already scaled by the cell area; k(-y1, y2) =
+    k(y1, -y2) = k(y) fills in the rest, so C is its own adjoint and its
+    spectrum is the DCT-I of the quadrant.  No full stencil is built.
     """
 
-    def __init__(self, kernel: np.ndarray, shape: tuple[int, int]):
-        nx, ny = shape
-        if kernel.shape != (2 * nx - 1, 2 * ny - 1):
-            raise ValueError("kernel must cover all grid offsets")
-        if not (np.allclose(kernel, kernel[::-1], rtol=1e-12, atol=0.0)
-                and np.allclose(kernel, kernel[:, ::-1], rtol=1e-12, atol=0.0)):
-            raise ValueError("kernel must be even in each axis")
-        self._khat = quadrant_spectrum(kernel[nx - 1:, ny - 1:])
+    def __init__(self, quadrant: np.ndarray):
+        self._khat = quadrant_spectrum(quadrant)
         # spectrum of the periodic (wrapped) kernel on the n x n grid
-        self.periodic_spectrum = sfft.fft2(_wrap(kernel, shape))
+        self.periodic_spectrum = sfft.fft2(_wrap(quadrant))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return convolve_same(x, self._khat)
@@ -77,13 +71,15 @@ class ConvolutionOperator:
         return lambda r: convolve_same(r, spectrum)
 
 
-def _wrap(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Fold offsets -(n-1)..(n-1) of each axis onto the circular indices: k -> k mod n."""
-    nx, ny = shape
-    rows = kernel[nx - 1:].copy()
-    rows[1:] += kernel[: nx - 1]
-    out = rows[:, ny - 1:].copy()
-    out[:, 1:] += rows[:, : ny - 1]
+def _wrap(quadrant: np.ndarray) -> np.ndarray:
+    """Fold the even kernel's offsets onto the circular indices, k -> k mod n.
+
+    Offset -k lands on n - k and holds quadrant[k], one axis at a time.
+    """
+    rows = quadrant.copy()
+    rows[1:] += quadrant[:0:-1]
+    out = rows.copy()
+    out[:, 1:] += rows[:, :0:-1]
     return out
 
 
@@ -95,9 +91,8 @@ def build_convolution_operator(params: KernelParams, nx: int,
     """
     if nx < 8 or ny < 8:
         raise ValueError("deconvolution grid must be at least 8x8")
-    kernel = mirror_stencil(kernel_trace(offset_grids(nx, ny), params))
-    kernel = kernel * (2.0 / nx) * (2.0 / ny)
-    return ConvolutionOperator(kernel, (nx, ny))
+    return ConvolutionOperator(
+        kernel_trace(offset_grids(nx, ny), params) * (2.0 / nx) * (2.0 / ny))
 
 
 def _pcg(apply_a, b, x, r, precond, tol):
@@ -186,8 +181,8 @@ class DenoiserSpec:
             raise ValueError(f"unknown denoiser kind {self.kind!r}")
         if self.kind == "external" and not self.command:
             raise ValueError("external denoiser needs a command")
-        if not self.width_factor >= 0:  # 0 is the identity blur
-            raise ValueError("denoiser width_factor must be >= 0")
+        if not 0 <= self.width_factor < np.inf:  # 0 is the identity blur
+            raise ValueError("denoiser width_factor must be >= 0 and finite")
         if not self.timeout > 0:
             raise ValueError("denoiser timeout must be positive")
 

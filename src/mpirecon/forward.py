@@ -42,20 +42,12 @@ def offset_grids(nx: int, ny: int):
     """Nonnegative grid offsets (i 2/nx, j 2/ny), i < nx, j < ny.
 
     This is the quadrant of the kernel stencil; every kernel here is even or
-    odd in each axis, so the quadrant determines it (:func:`mirror_stencil`,
-    :func:`quadrant_spectrum`).
+    odd in each axis, so the quadrant determines it, and spectra come from
+    the quadrant alone (:func:`quadrant_spectrum`): no full stencil is built
+    anywhere.
     """
     return np.meshgrid(np.arange(nx) * (2.0 / nx), np.arange(ny) * (2.0 / ny),
                        indexing="ij")
-
-
-def mirror_stencil(quadrant: np.ndarray, parity: float = 1.0) -> np.ndarray:
-    """Full (2nx-1, 2ny-1) stencil, offset 0 at (nx-1, ny-1), from its quadrant.
-
-    parity is 1 for a kernel even in each axis and -1 for one odd in each.
-    """
-    half = np.concatenate([parity * quadrant[:0:-1], quadrant])
-    return np.concatenate([parity * half[:, :0:-1], half], axis=1)
 
 
 def _fft_shape(nx: int, ny: int) -> tuple[int, int]:
@@ -135,8 +127,8 @@ def add_noise(signals: np.ndarray, fraction: float, seed: int) -> np.ndarray:
     N_l are i.i.d. standard 2-vector normals from the seeded generator, so
     the output is a pure function of (signals, fraction, seed).
     """
-    if fraction < 0:
-        raise ValueError("noise fraction must be >= 0")
+    if not 0 <= fraction < np.inf:
+        raise ValueError("noise fraction must be >= 0 and finite")
     signals = np.asarray(signals, dtype=float)
     if fraction == 0 or len(signals) == 0:
         return signals.copy()

@@ -14,6 +14,8 @@ from scipy.signal import fftconvolve
 
 from .fields import MatrixField, ScalarField, resample_bilinear
 
+SSIM_WINDOW = 11  # side of the SSIM window, the smallest image SSIM scores
+
 
 def ideal_trace(A: MatrixField, nx: int, ny: int) -> ScalarField:
     """kappa_h * rho, resampled to the (nx, ny) grid, from the core response.
@@ -36,7 +38,7 @@ def psnr(x: ScalarField, y: ScalarField, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
     w = np.outer(g, g)
@@ -47,8 +49,8 @@ def ssim(x: ScalarField, y: ScalarField, peak: float) -> float:
     """Mean local SSIM over full 11x11 windows (population statistics)."""
     if x.values.shape != y.values.shape:
         raise ValueError("ssim needs images of identical shape")
-    if min(x.values.shape) < 11:
-        raise ValueError("ssim needs images of size >= 11 per axis")
+    if min(x.values.shape) < SSIM_WINDOW:
+        raise ValueError(f"ssim needs images of size >= {SSIM_WINDOW} per axis")
     if peak <= 0:
         raise ValueError("peak must be positive")
     w = _gaussian_window()

@@ -23,7 +23,7 @@ from .deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
 from .fields import FormatError, ScalarField, resample_bilinear
 from .forward import ScanSeries, core_response_field, simulate_series
 from .kernels import KernelParams
-from .metrics import ideal_trace, score_pair
+from .metrics import SSIM_WINDOW, ideal_trace, score_pair
 from .spectral import CoeffTensor
 from .trajectory import LissajousSpec, ScanGeometry, make_scan, merge_scans, rotate_scan
 
@@ -231,6 +231,9 @@ def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> Search
     row with its first scores.  The first value with the highest mean PSNR
     wins, and the result keeps its outputs.
     """
+    if any(min(gt.values.shape) < SSIM_WINDOW for gt in gts):
+        raise ConfigError(f"bad grids configuration: searches score by SSIM, "
+                          f"which needs recon_nx >= {SSIM_WINDOW}")
     spec = spec or GridSpec()
     scores: dict[float, tuple[float, float]] = {}
     result = SearchResult(math.nan, math.nan)

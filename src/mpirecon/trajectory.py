@@ -20,7 +20,6 @@ class LissajousSpec:
     freq_y: float = 17.0
     phase_x: float = math.pi / 2
     phase_y: float = math.pi / 2
-    duration: float = 1.0
 
     def __post_init__(self):
         if self.freq_x <= 0 or self.freq_y <= 0:
@@ -44,8 +43,11 @@ class ScanGeometry:
         L = len(self.times)
         if self.positions.shape != (L, 2) or self.velocities.shape != (L, 2):
             raise ValueError("times, positions, velocities must have matching length")
-        if L and np.max(np.abs(self.positions)) > 1.0 + 1e-12:
+        # written so that NaN fails too
+        if not np.all(np.abs(self.positions) <= 1.0 + 1e-12):
             raise ValueError("positions must stay inside Omega = [-1,1]^2")
+        if not np.all(np.isfinite(self.velocities)):
+            raise ValueError("velocities must be finite")
 
     def __len__(self) -> int:
         return len(self.times)

@@ -233,11 +233,23 @@ def fast_scan(tmp_path_factory):
     ("reconstruct", "grids.recon_nx=4"),
     ("simulate", "grids.fine_nx=4"),
     ("simulate", "grids.recon_nx=0"),
+    ("simulate", "noise.fraction=nan"),
+    ("simulate", "noise.fraction=inf"),
+    ("simulate", "trajectory.freq_x=nan"),
+    ("simulate", "trajectory.phase_x=inf"),
+    ("simulate", "trajectory.freq_y=inf"),
+    ("simulate", "trajectory.freq_x=1e308"),
+    ("reconstruct", "deconv.denoiser_width=inf"),
+    # searches score by SSIM, whose 11x11 window needs recon_nx >= 11
+    ("gridsearch lambda", "grids.recon_nx=8"),
+    ("gridsearch mu", "grids.recon_nx=10"),
 ])
 def test_out_of_range_config_values_exit_1(fast_scan, tmp_path, capsys, command, override):
     # a value the domain classes reject is a usage error (1), not a
     # numerical failure (2)
-    args = [fast_scan] if command == "reconstruct" else []
+    command, *args = command.split()
+    if command == "reconstruct":
+        args = [fast_scan]
     argv = FAST + ["--set", override, command, *args, "--out", str(tmp_path / "o")]
     assert main(argv) == 1
     assert "usage error" in capsys.readouterr().err

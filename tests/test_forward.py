@@ -5,7 +5,7 @@ from scipy.signal import fftconvolve
 
 from mpirecon.fields import FormatError, MatrixField, ScalarField, cell_centers
 from mpirecon.forward import (ScanSeries, _fft_shape, add_noise, convolve_same,
-                              core_response_field, mirror_stencil, offset_grids,
+                              core_response_field, offset_grids,
                               quadrant_spectrum, read_series_csv, simulate_series,
                               simulate_signal, write_series_csv)
 from mpirecon.kernels import KernelParams, kernel_matrix_components, kernel_trace
@@ -71,6 +71,13 @@ def test_convolution_matches_direct_summation():
                         (xs[i] - xs[a], xs[j] - xs[b]), PARAMS)
     direct *= rho.cell_area
     assert np.max(np.abs(direct - u.values)) < 1e-10 * np.max(np.abs(direct))
+
+
+def mirror_stencil(quadrant, parity=1.0):
+    """Full (2nx-1, 2ny-1) stencil, offset 0 at (nx-1, ny-1), from its quadrant
+    (test reference); parity is 1 for a stencil even in each axis, -1 for odd."""
+    half = np.concatenate([parity * quadrant[:0:-1], quadrant])
+    return np.concatenate([parity * half[:, :0:-1], half], axis=1)
 
 
 def full_offset_grids(nx, ny):
