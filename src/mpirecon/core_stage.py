@@ -26,6 +26,16 @@ smoothing-spline representer form:
 x_+ = (4/lambda) W_+^-1 Phi_+^T alpha.  The unpenalized constant mode x_0 is
 split out and fixed by its 2x2 Schur complement.  The forward map
 factorizes through two 1D cosine tables thanks to the tensor-product basis.
+
+Each cosine is even or odd under the reflections x -> -x and y -> -y of
+Omega, so the kernel sum_m u_m(r) u_m(r') / w_m is invariant under them, under
+the half turn, and, when N = M, under the swaps (x, y) -> (+-y, +-x).  When
+such a map g(r) = J r sends every merged row onto a row, position to position
+and v to s J v with a sign s, the dual Gram commutes with that signed row
+permutation, and the dual system splits into an even and an odd sector of
+about K/2 rows each (symmetry-adapted bases; Allgower, Boehmer, Georg &
+Miranda, SIAM J. Numer. Anal. 29, 1992).  A scan without such a map keeps
+one sector.
 """
 
 from __future__ import annotations
@@ -42,6 +52,13 @@ from .spectral import CoeffTensor, basis_matrix_1d, eigenvalue_grid, synthesize_
 OMEGA_AREA = 4.0
 RESIDUAL_TOL = 1e-8   # converged: the exact solve's residual is rounding only
 MERGE_TOL = 1e-12     # positions and velocity directions this close share a design row
+# the maps g(r) = J r of the square under which the kernel is invariant, and
+# whether g needs N = M (the swaps exchange the mode indices)
+SQUARE_MAPS = ((np.diag([-1.0, 1.0]), False),                 # x -> -x
+               (np.diag([1.0, -1.0]), False),                 # y -> -y
+               (-np.eye(2), False),                           # half turn
+               (np.array([[0.0, 1.0], [1.0, 0.0]]), True),    # swap
+               (np.array([[0.0, -1.0], [-1.0, 0.0]]), True))  # anti-swap
 
 
 @dataclass
@@ -57,8 +74,8 @@ class CoreProblem:
             raise ValueError("the coefficient grid needs N, M >= 1")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lambda must be positive and finite")
         if len(self.scan.geometry) < 1:
             raise ValueError("scan must contain at least one sample")
 
@@ -152,13 +169,18 @@ def _parallel_rows(positions: np.ndarray, velocities: np.ndarray):
     cluster becomes a representative r, and every ungrouped sample of the
     cluster within MERGE_TOL of r's position whose velocity is parallel or
     antiparallel to v_r (to MERGE_TOL) joins it.  A missed merge costs time,
-    never accuracy.  Returns (reps, group, c): the K representatives in
-    sample order, each sample's group index and its scale
-    c_l = v_l . v_r / |v_r|^2 (1 at r, and at a sample that does not move).
+    never accuracy.  A sample whose speed is at most MERGE_TOL times the
+    scan's largest speed does not move: it stays alone, with scale 0, so its
+    design row is zero (the preset corner samples have speeds ~1e-14, and a
+    direction made of rounding noise).  Returns (reps, group, c): the K
+    representatives in sample order, each sample's group index and its scale
+    c_l = v_l . v_r / |v_r|^2 (1 at r, 0 at a sample that does not move).
     """
     L = len(positions)
     rep = np.arange(L)
-    todo = np.flatnonzero(np.hypot(*velocities.T) > 0)
+    speed = np.hypot(*velocities.T)
+    moving = speed > MERGE_TOL * np.max(speed, initial=0.0)
+    todo = np.flatnonzero(moving)
     (x_run, _), (y_run, _) = (_runs(p) for p in positions[todo].T)
     cluster = np.unique(x_run * len(todo) + y_run, return_inverse=True)[1]
     first = np.empty(len(todo), dtype=int)
@@ -173,47 +195,107 @@ def _parallel_rows(positions: np.ndarray, velocities: np.ndarray):
         rep[todo[same]] = r[same]
         todo, cluster = todo[~same], cluster[~same]
     reps, group = np.unique(rep, return_inverse=True)
-    c = np.ones(L)
+    c = moving.astype(float)
     joined = rep != np.arange(L)
     c[joined] = (np.sum(velocities[joined] * velocities[rep[joined]], axis=1)
                  / np.sum(velocities[rep[joined]] ** 2, axis=1))
     return reps, group, c
 
 
-def _solve_split(a, b, c, f, g):
-    """Solve [[a, b], [b^T, c]] [y; z] = [f; g] for SPD a and a 2-row z.
+def _solve_split(blocks, c, g):
+    """Solve [[a, b], [b^T, c]] [y; z] = [f; g] for block-diagonal SPD a and a 2-row z.
 
-    The 2x2 Schur complement is solved by least squares: it is singular
-    when the scan's velocities do not span the plane.
+    blocks holds (a_k, [f_k, b_k]) for the diagonal blocks a_k of a, with the
+    matching rows of f and b side by side (b_k is the last two columns).
+    Each a_k is factored in place and solves for f_k and b_k at once.  The
+    2x2 Schur complement c - b^T a^-1 b is solved by least squares: it is
+    singular when the scan's velocities do not span the plane.  Returns the
+    row blocks y_k of y, and z.
     """
-    fac = cho_factor(a, overwrite_a=True, check_finite=False)
-    ai_b = cho_solve(fac, b, check_finite=False)
-    ai_f = cho_solve(fac, f, check_finite=False)
-    z = np.linalg.lstsq(c - b.T @ ai_b, g - b.T @ ai_f, rcond=None)[0]
-    return ai_f - ai_b @ z, z
+    sols = [cho_solve(cho_factor(a, overwrite_a=True, check_finite=False), fb,
+                      check_finite=False) for a, fb in blocks]
+    bt = [fb[:, -2:].T for _, fb in blocks]
+    schur = c - sum(b @ sol[:, -2:] for b, sol in zip(bt, sols))
+    z = np.linalg.lstsq(schur, g - sum(b @ sol[:, :-2] for b, sol in zip(bt, sols)),
+                        rcond=None)[0]
+    return [sol[:, :-2] - sol[:, -2:] @ z for sol in sols], z
+
+
+def _mirror_rows(ix: np.ndarray, iy: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 v: np.ndarray, J: np.ndarray):
+    """Pair the rows under g(r) = J r: (partner, sign), or None if g does not map.
+
+    Row r sits at the distinct values (xs[ix_r], ys[iy_r]), and the rows are
+    ordered by (iy, ix).  Row p is row r's image when p's values are those
+    of J r_r to MERGE_TOL and v_p = s_r J v_r to MERGE_TOL times the largest
+    speed, with s_r = +-1.  A zero row is its own image with sign +1: its
+    Gram row is zero, so every map keeps it.  g maps when every row has an
+    image and the images pair the rows up: partner[partner] = identity with
+    equal signs (a row may be its own image).
+    """
+    values, index, image = (xs, ys), (ix, iy), []
+    for axis in (0, 1):                 # J is a signed permutation
+        src = int(np.flatnonzero(J[axis])[0])
+        want, have = J[axis, src] * values[src], values[axis]
+        at = np.minimum(np.searchsorted(have, want - MERGE_TOL), len(have) - 1)
+        image.append(np.where(np.abs(have[at] - want) <= MERGE_TOL, at, -1)[index[src]])
+    K, moving = len(v), np.any(v, axis=1)
+    key = iy * len(xs) + ix                         # nondecreasing
+    image_key = np.where(np.minimum(*image) < 0, -1, image[1] * len(xs) + image[0])
+    first = np.searchsorted(key, image_key, side="left")
+    stop = np.searchsorted(key, image_key, side="right")
+    if np.any(moving & (first == stop)):           # a position without an image
+        return None
+    v_image = v @ J.T
+    tol = MERGE_TOL * np.max(np.hypot(*v.T), initial=0.0)
+    partner, sign = np.where(moving, -1, np.arange(K)), np.ones(K)
+    for k in range(int(np.max(stop - first, initial=0))):
+        cand = np.minimum(first + k, K - 1)
+        plus = np.max(np.abs(v[cand] - v_image), axis=1) <= tol
+        minus = np.max(np.abs(v[cand] + v_image), axis=1) <= tol
+        hit = (partner < 0) & (first + k < stop) & (plus | minus)
+        partner[hit], sign[hit] = cand[hit], np.where(plus[hit], 1.0, -1.0)
+    if np.any(partner < 0) or np.any(partner[partner] != np.arange(K)) \
+            or np.any(sign[partner] != sign):
+        return None
+    return partner, sign
 
 
 def _dual_gram(xa: np.ndarray, ya: np.ndarray, iy: np.ndarray, v: np.ndarray,
-               inv_w: np.ndarray) -> np.ndarray:
-    """Lower triangle of the dual Gram (U W^-1 U^T) (.) (V V^T), rows sorted by y.
+               inv_w: np.ndarray, image: tuple, minus: np.ndarray) -> np.ndarray:
+    """Lower triangle of the dual Gram (U W^-1 U^T) (.) (V V^T) of the rows,
+    split on the first P rows by the cross Gram against P image rows.
 
-    Row i has the x-factors xa[i] (N) and the y-value iy[i] (nondecreasing)
-    of the D distinct y-values, whose factors are the rows of ya (D, M).
-    With R_m1[c, b] = sum_m2 ya[c, m2] inv_w[m1, m2] ya[b, m2],
-    G_ij = (v_i . v_j) sum_m1 xa[i, m1] xa[j, m1] R_m1[iy_i, iy_j].  The rows
-    of y-value c take one GEMM against every row of a y-value up to c, so
-    the build costs about N M D^2 / 2 + K^2 N / 2 multiply-adds.  The
-    entries above the diagonal blocks stay zero.
+    Row i has the x-factors xa[i] (N), the index iy[i] of its y-value among
+    the D distinct y-values, whose factors are the rows of ya (D, M), and the
+    velocity v[i].  With R_m1[c, b] = sum_m2 ya[c, m2] inv_w[m1, m2] ya[b, m2],
+    G_ij = (v_i . v_j) sum_m1 xa[i, m1] xa[j, m1] R_m1[iy_i, iy_j].  image
+    holds (xa, iy, v) of P further rows, and C_ij = G(row i, image j) for
+    i, j < P.  Returns G with G + C on its first P rows and columns; minus
+    receives G - C there.  The rows come in groups, the first P rows being
+    one, each sorted by y-value; every run of rows at one y-value c takes
+    one GEMM against each row up to the run's end, and a run among the
+    first P rows one more against their images.  Without images that is
+    about N M D^2 / 2 + K^2 N / 2 multiply-adds.  The entries above the
+    diagonal runs stay zero.
     """
-    K = len(xa)
-    ends = np.searchsorted(iy, np.arange(len(ya)), side="right")
+    xb, ib, vb = image
+    K, P = len(xa), len(xb)
+    ends = np.append(np.flatnonzero((np.diff(iy) != 0) | (np.arange(1, K) == P)) + 1, K)
+    top = np.maximum.accumulate(np.concatenate([np.maximum(iy[:P], ib), iy[P:]]))
     gram = np.zeros((K, K))
     start = 0
-    for c, end in enumerate(ends):
-        r = ya[:c + 1] @ (ya[c, :, None] * inv_w.T)          # R_m1[c, b] at [b, m1]
+    for end in ends:
+        # R_m1[c, b] at [b, m1], for every y-value b the columns reach
+        r = ya[:top[end - 1] + 1] @ (ya[iy[start], :, None] * inv_w.T)
         q = r[iy[:end]] * xa[:end]
         block = xa[start:end] @ q.T
         block *= v[start:end] @ v[:end].T
+        if end <= P:
+            cross = xa[start:end] @ (r[ib[:end]] * xb[:end]).T
+            cross *= v[start:end] @ vb[:end].T
+            np.subtract(block, cross, out=minus[start:end, :end])
+            block += cross
         gram[start:end, :end] = block
         start = end
     return gram
@@ -227,11 +309,21 @@ class CoreSystem:
     Each coordinate axis is then snapped to its distinct values (_runs): the
     Lissajous samples lie on a tensor grid of cosine nodes, so the 1D cosine
     tables are evaluated once per distinct value, and the rows, ordered by
-    y-value, enter the dual Gram per distinct y-value (_dual_gram).  The
+    y-value, enter the dual Gram and its adjoint per distinct y-value.  The
     Gram matrix depends on neither lambda nor the signals, so it is built
-    once; each solve() factors one SPD matrix for its lambda and takes every
-    signal series as a right-hand side.  The dual (K x K) form is used when
+    once; each solve() factors it for its lambda and takes every signal
+    series as a right-hand side.  The dual (K x K) form is used when
     K < 2NM, the primal (2NM x 2NM) form otherwise.
+
+    The dual system is split into sectors.  The first of SQUARE_MAPS that
+    pairs the rows (_mirror_rows) gives P pairs (r, p) with sign s_r and
+    some fixed rows p = r.  The basis (e_r +- s_r e_p)/sqrt(2), plus e_f for
+    each fixed row f in the sector of its sign, makes the Gram block
+    diagonal: G_+- = G_AA +- G_{A,g(A)} diag(s) on the pairs, sqrt(2) G_fA
+    between a fixed row and the pairs, and G_ff among the fixed rows.  Each
+    solve factors the sectors separately and couples them only through the
+    constant mode's 2x2 Schur complement.  Without a map every row is fixed
+    with sign +1: one sector, the plain dual system.
     """
 
     def __init__(self, problem: CoreProblem):
@@ -248,7 +340,8 @@ class CoreSystem:
         self.group = rank[group]
         reps, ix, iy = reps[order], ix[order], iy[order]
         norm = np.sqrt(np.bincount(self.group, c * c))
-        self.scale = c / norm[self.group]       # merged s_g = sum_l scale_l s_l
+        # merged s_g = sum_l scale_l s_l; 0 for a sample that does not move
+        self.scale = c / np.where(norm > 0, norm, 1.0)[self.group]
         self.xs, self.ys = xs, ys               # the distinct coordinate values
         xtab, ytab = basis_matrix_1d(N, xs), basis_matrix_1d(M, ys)
         self.ux, self.uy = xtab[:, ix], ytab[:, iy]
@@ -259,35 +352,125 @@ class CoreSystem:
             # W_+^-1, with 0 at the constant mode (weight 0), which phi0 carries
             self.inv_w = 1.0 / np.where(self.weights > 0, self.weights, np.inf)
             self.phi0 = (self.ux[0] * self.uy[0])[:, None] * self.v   # (K, 2)
-            # Phi_+ W_+^-1 Phi_+^T, on and below the diagonal
-            self.gram = _dual_gram(xtab.T[ix], ytab.T, iy, self.v, self.inv_w)
+            self.ytab = ytab
+            # the rows at each distinct y-value, batched by their count
+            counts = np.bincount(iy)
+            first = np.cumsum(counts) - counts
+            self.batches = []                   # (values, their rows, x-tables)
+            for n in np.unique(counts):
+                values = np.flatnonzero(counts == n)
+                rows = first[values][:, None] + np.arange(n)
+                self.batches.append((values, rows, np.ascontiguousarray(
+                    self.ux.T[rows].transpose(0, 2, 1))))
+            self._split(ix, iy, xtab.T, ytab.T)
         else:
             u = (self.ux.T[:, :, None] * self.uy.T[:, None, :]).reshape(self.K, N * M)
             phi = (u[:, :, None] * self.v[:, None, :]).reshape(self.K, 2 * N * M)
-            self.gram = phi.T @ phi                                 # Phi^T Phi
+            self.normal = phi.T @ phi                               # Phi^T Phi
+
+    def _split(self, ix, iy, xa, ya):
+        """Find the scan's map g and build the lower triangle of each sector.
+
+        xa and ya hold the cosine factors of the distinct x- and y-values,
+        one row per value; ix and iy index them per merged row.
+        """
+        K = self.K
+        self.symmetry, partner, sign = None, np.arange(K), np.ones(K)
+        for J, square in SQUARE_MAPS:
+            pairing = None if square and self.N != self.M else \
+                _mirror_rows(ix, iy, self.xs, self.ys, self.v, J)
+            if pairing is not None:
+                self.symmetry, (partner, sign) = J, pairing
+                break
+        rows = np.arange(K)
+        self.pair_rows = np.flatnonzero(partner > rows)     # the first row of each pair
+        self.pair_images = partner[self.pair_rows]
+        self.pair_sign = sign[self.pair_rows]
+        fixed = np.flatnonzero(partner == rows)
+        fixed = [fixed[sign[fixed] > 0], fixed[sign[fixed] < 0]]
+        # the pairs, then each sector's fixed rows; every group by y-value
+        ordered = np.concatenate([self.pair_rows, *fixed])
+        images = self.pair_images
+        P, n_plus = len(images), len(images) + len(fixed[0])
+        minus = np.zeros((P + len(fixed[1]),) * 2)
+        gram = _dual_gram(xa[ix[ordered]], ya, iy[ordered], self.v[ordered], self.inv_w,
+                          (xa[ix[images]], iy[images], self.pair_sign[:, None] * self.v[images]),
+                          minus)
+        minus[P:, :P] = gram[n_plus:, :P]
+        minus[P:, P:] = gram[n_plus:, n_plus:]
+        self.sectors = []                               # (sign, fixed rows, Gram block)
+        for sigma, rows_f, block in ((1.0, fixed[0], gram[:n_plus, :n_plus]),
+                                     (-1.0, fixed[1], minus)):
+            block[P:, :P] *= np.sqrt(2.0)
+            if len(block):
+                self.sectors.append((sigma, rows_f, block))
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The dual Gram Phi_+ W_+^-1 Phi_+^T in row order, assembled from the
+        sector blocks; for checks only, as no solve needs it."""
+        full = np.zeros((self.K, self.K))
+        P = len(self.pair_rows)
+        for sigma, fixed, block in self.sectors:
+            basis = np.zeros((self.K, len(block)))
+            basis[self.pair_rows, np.arange(P)] = 1.0 / np.sqrt(2.0)
+            basis[self.pair_images, np.arange(P)] = sigma * self.pair_sign / np.sqrt(2.0)
+            basis[fixed, np.arange(P, len(block))] = 1.0
+            full += basis @ (np.tril(block) + np.tril(block, -1).T) @ basis.T
+        return full
+
+    def _dual_adjoint(self, alpha: np.ndarray) -> np.ndarray:
+        """(N, M, k, 2) = sum_i u(r_i) (x) alpha_i (x) v_i for (K, k) row weights.
+
+        The rows at each distinct y-value take one GEMM against their x-table
+        columns (one batched GEMM for all values with as many rows), and one
+        GEMM against the y-table sums over the values.
+        """
+        outer = (alpha[:, :, None] * self.v[:, None, :]).reshape(self.K, -1)   # (K, 2k)
+        z = np.empty((len(self.ys), self.N, outer.shape[1]))
+        for values, rows, x_tables in self.batches:
+            z[values] = x_tables @ outer[rows]
+        x = self.ytab @ z.reshape(len(z), -1)
+        return x.reshape(self.M, self.N, -1, 2).swapaxes(0, 1)
 
     def solve(self, signals: np.ndarray, lam: float) -> np.ndarray:
         """(R, N, M, 2, 2) minimizers for R signal series of shape (L, 2)."""
-        if not lam > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < lam < np.inf:
+            raise ValueError("lambda must be positive and finite")
         N, M = self.N, self.M
         s = np.zeros((self.K, 2 * len(signals)))        # column 2r + a
         np.add.at(s, self.group, self.scale[:, None] * np.concatenate(list(signals), axis=1))
         if self.dual:
-            # the Cholesky reads gram's lower triangle: the upper one of its
-            # Fortran-ordered transpose, factored in place
-            g = (4.0 / lam) * self.gram.T
-            g[np.diag_indices_from(g)] += self.L
-            alpha, const = _solve_split(g, self.phi0, np.zeros((2, 2)), s, np.zeros_like(s[:2]))
-            x = _adjoint(self.ux, self.uy, self.v, alpha)
+            # the signals' columns, then phi0's two, in each sector's basis
+            rhs = np.concatenate([s, self.phi0], axis=1)
+            first, second = rhs[self.pair_rows], self.pair_sign[:, None] * rhs[self.pair_images]
+            blocks = []
+            for sigma, fixed, gram in self.sectors:
+                # the Cholesky reads gram's lower triangle: the upper one of its
+                # Fortran-ordered transpose, factored in place
+                g = (4.0 / lam) * gram.T
+                g[np.diag_indices_from(g)] += self.L
+                blocks.append((g, np.concatenate([(first + sigma * second) / np.sqrt(2.0),
+                                                  rhs[fixed]])))
+            parts, const = _solve_split(blocks, np.zeros((2, 2)), np.zeros((2, s.shape[1])))
+            # back to the rows
+            P = len(self.pair_rows)
+            alpha = np.empty_like(s)
+            alpha[self.pair_rows] = sum(y[:P] for y in parts) / np.sqrt(2.0)
+            alpha[self.pair_images] = self.pair_sign[:, None] / np.sqrt(2.0) * sum(
+                sigma * y[:P] for (sigma, _, _), y in zip(self.sectors, parts))
+            for (_, fixed, _), y in zip(self.sectors, parts):
+                alpha[fixed] = y[P:]
+            x = self._dual_adjoint(alpha)
             x *= (4.0 / lam) * self.inv_w[:, :, None, None]
             x[0, 0] = const.T
             return np.moveaxis(x.reshape(N, M, -1, 2, 2), 2, 0)
         # primal unknowns are rows (mode, b)
-        h = self.gram / self.L
+        h = self.normal / self.L
         h[np.diag_indices_from(h)] += (lam / OMEGA_AREA) * np.repeat(self.weights.ravel(), 2)
         b = np.swapaxes(_adjoint(self.ux, self.uy, self.v, s) / self.L, 2, 3).reshape(2 * N * M, -1)
-        xp, const = _solve_split(h[2:, 2:], h[2:, :2], h[:2, :2], b[2:], b[:2])
+        (xp,), const = _solve_split([(h[2:, 2:], np.concatenate([b[2:], h[2:, :2]], axis=1))],
+                                    h[:2, :2], b[:2])
         return np.concatenate([const, xp]).reshape(N, M, 2, -1, 2).transpose(3, 0, 1, 4, 2)
 
 

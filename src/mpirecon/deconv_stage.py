@@ -232,8 +232,8 @@ class DeconvProblem:
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
 
     def __post_init__(self):
-        if not self.mu > 0 or not 0 < self.nu0 < np.inf:
-            raise ValueError("mu must be positive and nu0 positive and finite")
+        if not 0 < self.mu < np.inf or not 0 < self.nu0 < np.inf:
+            raise ValueError("mu and nu0 must be positive and finite")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
 

@@ -24,6 +24,10 @@ class LissajousSpec:
     def __post_init__(self):
         if self.freq_x <= 0 or self.freq_y <= 0:
             raise ValueError("frequencies must be positive")
+        # the phase arguments 2 pi f t + phi, t in [0, 1), must stay finite
+        if not all(math.isfinite(2.0 * math.pi * f + abs(phi))
+                   for f, phi in ((self.freq_x, self.phase_x), (self.freq_y, self.phase_y))):
+            raise ValueError("frequencies and phases must be finite")
         if self.freq_x == self.freq_y:
             raise ValueError("freq_x must differ from freq_y for coverage")
 

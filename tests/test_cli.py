@@ -1,4 +1,5 @@
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -240,6 +241,8 @@ def fast_scan(tmp_path_factory):
     ("simulate", "trajectory.freq_y=inf"),
     ("simulate", "trajectory.freq_x=1e308"),
     ("reconstruct", "deconv.denoiser_width=inf"),
+    ("reconstruct", "core.lambda=inf"),
+    ("reconstruct", "deconv.mu=inf"),
     # searches score by SSIM, whose 11x11 window needs recon_nx >= 11
     ("gridsearch lambda", "grids.recon_nx=8"),
     ("gridsearch mu", "grids.recon_nx=10"),
@@ -252,6 +255,17 @@ def test_out_of_range_config_values_exit_1(fast_scan, tmp_path, capsys, command,
         args = [fast_scan]
     argv = FAST + ["--set", override, command, *args, "--out", str(tmp_path / "o")]
     assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["trajectory.freq_x=1e308", "trajectory.freq_y=inf",
+                                      "trajectory.phase_x=inf"])
+def test_non_finite_trajectory_exits_1_without_warnings(tmp_path, capsys, override):
+    # LissajousSpec rejects the value before any curve is evaluated
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(FAST + ["--set", override, "simulate", "--out", str(tmp_path / "o")]) == 1
+    assert caught == []
     assert "usage error" in capsys.readouterr().err
 
 

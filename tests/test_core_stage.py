@@ -216,6 +216,83 @@ def test_preset_scans_merge_mirrored_samples(dense, K, distinct):
     assert (len(system.xs), len(system.ys)) == distinct
 
 
+def test_preset_corner_samples_are_zero_rows():
+    # t = 0 at (1, 1) and t = 1/2 at (1, -1) have speeds ~1e-14 against a
+    # largest speed ~146: they do not move, and their rows are zero
+    geom = preset_scan(False)
+    system = CoreSystem(CoreProblem(ScanSeries(geom, np.zeros((len(geom), 2))), N=4, M=4))
+    corners = system.group[[0, len(geom) // 2]]
+    np.testing.assert_allclose(geom.positions[[0, len(geom) // 2]], [[1, 1], [1, -1]])
+    assert 0 < np.max(np.abs(geom.velocities[[0, len(geom) // 2]])) < 1e-12
+    assert corners[0] != corners[1] and np.all(system.v[corners] == 0.0)
+    assert np.count_nonzero(np.all(system.v == 0.0, axis=1)) == 2
+
+
+@pytest.mark.parametrize("dense, J, sizes", [
+    pytest.param(False, [[1, 0], [0, -1]], [409, 408], id="sparse-y_flip"),
+    pytest.param(True, [[0, 1], [1, 0]], [819, 815], id="dense-swap")])
+def test_preset_scans_split_into_two_sectors(dense, J, sizes):
+    geom = preset_scan(dense)
+    system = CoreSystem(CoreProblem(ScanSeries(geom, np.zeros((len(geom), 2))), N=64, M=64))
+    assert system.dual and np.array_equal(system.symmetry, J)
+    assert [len(block) for _, _, block in system.sectors] == sizes
+    assert sum(sizes) == system.K
+
+
+@pytest.mark.parametrize("scan, N, M", [
+    pytest.param(lambda: jittered_scan(), 64, 64, id="jittered"),
+    pytest.param(lambda: preset_scan(True), 20, 44, id="dense-N!=M")])
+def test_scans_without_a_map_keep_one_sector(scan, N, M):
+    geom = scan()
+    system = CoreSystem(CoreProblem(ScanSeries(geom, np.zeros((len(geom), 2))), N=N, M=M))
+    assert system.dual and system.symmetry is None
+    assert [len(block) for _, _, block in system.sectors] == [system.K]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_sector_solve_matches_unmerged_normal_equations(order, scaled):
+    # make_scan(3, 4) maps onto itself under x -> -x; a mirrored pair whose
+    # speeds differ (scaled) has parallel but unequal velocities, so no map
+    # pairs the rows and the system keeps one sector
+    geom = make_scan(LissajousSpec(freq_x=3, freq_y=4), 40)
+    if scaled:
+        v = geom.velocities.copy()
+        v[[5, 35]] *= 1.5
+        geom = ScanGeometry(geom.times, geom.positions, v)
+    series = ScanSeries(geom, np.random.default_rng(24).normal(size=(40, 2)))
+    problem = CoreProblem(series, N=5, M=5, order=order, lam=0.03)
+    system = CoreSystem(problem)
+    assert system.dual and system.K == 21
+    if scaled:
+        assert system.symmetry is None and len(system.sectors) == 1
+    else:
+        assert np.array_equal(system.symmetry, [[-1, 0], [0, 1]]) and len(system.sectors) == 2
+    op = CoreOperator(problem)
+    n = int(np.prod(op.shape))
+    H = np.stack([op.apply_h(e.reshape(op.shape)).ravel() for e in np.eye(n)], axis=1)
+    want = np.linalg.solve(H, op.rhs(series.signals).ravel()).reshape(op.shape)
+    got = system.solve(series.signals[None], problem.lam)[0]
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_sector_solve_matches_one_sector_solve(dense, monkeypatch):
+    from mpirecon import core_stage
+    geom = preset_scan(dense)
+    signals = np.random.default_rng(25).normal(size=(2, len(geom), 2))
+    problem = CoreProblem(ScanSeries(geom, signals[0]), N=64, M=64)
+    split = CoreSystem(problem)
+    monkeypatch.setattr(core_stage, "SQUARE_MAPS", ())
+    whole = CoreSystem(problem)
+    assert len(split.sectors) == 2 and len(whole.sectors) == 1
+    # the Gram is invariant under the map to ~2e-14; the presets' smallest
+    # lambda amplifies that to ~5e-11
+    for lam in (0.5, 0.004):
+        got, want = split.solve(signals, lam), whole.solve(signals, lam)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def only_x_repeats_scan():
     # seven x-values, each spread over 6e-15 as on the preset scans, and
     # distinct y-values
@@ -317,12 +394,16 @@ def test_invalid_problems_rejected():
     series = small_series()
     with pytest.raises(ValueError):
         CoreProblem(series, lam=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        CoreProblem(series, lam=np.inf)
     with pytest.raises(ValueError):
         CoreProblem(series, order=3)
     with pytest.raises(ValueError, match="N, M"):
         CoreProblem(series, N=0)
     with pytest.raises(ValueError):
         CoreSystem(CoreProblem(series, N=4, M=4)).solve(series.signals[None], 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        CoreSystem(CoreProblem(series, N=4, M=4)).solve(series.signals[None], np.inf)
 
 
 def test_trace_field_matches_synthesize():

@@ -454,6 +454,8 @@ def test_problem_validation_and_dispatch():
     with pytest.raises(ValueError):
         DeconvProblem(u, PARAMS, nu0=np.inf)
     with pytest.raises(ValueError):
+        DeconvProblem(u, PARAMS, mu=np.inf)
+    with pytest.raises(ValueError):
         DenoiserSpec(kind="external")
 
 

@@ -89,5 +89,9 @@ def test_merged_scan_covers_more_cells():
 def test_spec_validation():
     with pytest.raises(ValueError):
         LissajousSpec(freq_x=16, freq_y=16)
+    for bad in ({"freq_x": np.nan}, {"freq_y": np.inf}, {"freq_x": 1e308},
+                {"phase_x": np.inf}, {"phase_y": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            LissajousSpec(**bad)
     with pytest.raises(ValueError):
         ScanGeometry([0.0], [[2.0, 0.0]], [[0.0, 0.0]])
