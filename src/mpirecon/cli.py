@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, PipelineConfig, apply_overrides, apply_preset, load_config
 from .fields import FormatError, load_field, resample_bilinear, save_field
 from .forward import read_series_csv, write_series_csv
-from .metrics import score_pair
+from .metrics import SSIM_WINDOW, score_pair
 from .pipeline import (GridSpec, reconstruct, run_core, search_lambda,
                        search_mu, simulate_case)
 from .spectral import save_coeffs
@@ -134,6 +134,9 @@ def cmd_metrics(recon_path: str, gt_path: str) -> int:
     gt = load_field(gt_path)
     if (gt.nx, gt.ny) != (recon.nx, recon.ny):
         gt = resample_bilinear(gt, recon.nx, recon.ny)
+    if min(recon.nx, recon.ny) < SSIM_WINDOW:
+        raise UsageError(f"metrics needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW} "
+                         f"pixels (SSIM's window), got {recon.nx}x{recon.ny}")
     p, s = score_pair(recon, gt)
     print(f"psnr={p!r} ssim={s!r}")
     return 0

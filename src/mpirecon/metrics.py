@@ -3,18 +3,32 @@
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5) with stabilizers
 C1 = (0.01 peak)^2, C2 = (0.03 peak)^2, averaged over all positions where
 the full window fits.
+
+The window is the outer product of a normalized 1D Gaussian g, so the
+windowed mean of an (nx, ny) image X at every valid position is
+T_nx X T_ny^T, where T_n is the banded (n - 10) x n matrix whose row i holds
+g on columns i..i+10.  SSIM applies T along each axis of a stack of four
+images, a, b, a*a + b*b and a*b, as batched GEMMs: one per block of b <= 32
+output rows, each reading only the block's band of b + 10 rows through the
+cached T_{b+10} (T is Toeplitz, so every full block shares T_42).  The score needs the variances of a and b only
+through their sum, so these four windowed moments give mu_a, mu_b,
+var_a + var_b and cov.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .fields import MatrixField, ScalarField, resample_bilinear
 
 SSIM_WINDOW = 11  # side of the SSIM window, the smallest image SSIM scores
+# Output rows per windowing GEMM.  A dense T_n per axis costs O(n^3) and at
+# 1024^2 is slower than an FFT convolution; blocks of 16-48 rows measured
+# alike from 100^2 to 1024^2 on one BLAS thread.
+_BLOCK = 32
 
 
 def ideal_trace(A: MatrixField, nx: int, ny: int) -> ScalarField:
@@ -38,11 +52,36 @@ def psnr(x: ScalarField, y: ScalarField, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+@functools.lru_cache(maxsize=16)
+def _window_matrix(n: int) -> np.ndarray:
+    """Read-only (n - 10) x n matrix T with row i = g on columns i..i+10.
+
+    g is the 1D Gaussian (sigma 1.5) normalized to sum 1, so T X is the
+    window's mean along axis 0 of X at every position where it fits.
+    """
+    half = (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-((np.arange(SSIM_WINDOW) - half) ** 2) / (2.0 * 1.5 * 1.5))
+    g /= g.sum()
+    rows = np.arange(n - SSIM_WINDOW + 1)[:, None]
+    t = np.zeros((len(rows), n))
+    t[rows, rows + np.arange(SSIM_WINDOW)] = g
+    t.flags.writeable = False
+    return t
+
+
+def _window_means(s: np.ndarray) -> np.ndarray:
+    """T s along axis 1 of the stack s, a GEMM per block of output rows.
+
+    T is Toeplitz, so each block of b output rows reads only its band of
+    b + 10 input rows, through the same matrix T_{b+10}.
+    """
+    m = s.shape[1] - SSIM_WINDOW + 1
+    out = np.empty((s.shape[0], m, s.shape[2]))
+    for r in range(0, m, _BLOCK):
+        b = min(_BLOCK, m - r)
+        np.matmul(_window_matrix(b + SSIM_WINDOW - 1), s[:, r:r + b + SSIM_WINDOW - 1],
+                  out=out[:, r:r + b])
+    return out
 
 
 def ssim(x: ScalarField, y: ScalarField, peak: float) -> float:
@@ -53,21 +92,15 @@ def ssim(x: ScalarField, y: ScalarField, peak: float) -> float:
         raise ValueError(f"ssim needs images of size >= {SSIM_WINDOW} per axis")
     if peak <= 0:
         raise ValueError("peak must be positive")
-    w = _gaussian_window()
     a, b = x.values, y.values
-
-    def win(img):
-        return fftconvolve(img, w, mode="valid")
-
-    mu_a = win(a)
-    mu_b = win(b)
-    var_a = win(a * a) - mu_a ** 2
-    var_b = win(b * b) - mu_b ** 2
-    cov = win(a * b) - mu_a * mu_b
+    along_x = _window_means(np.stack([a, b, a * a + b * b, a * b]))
+    mu_a, mu_b, sq, ab = _window_means(along_x.swapaxes(1, 2)).swapaxes(1, 2)
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+    mu_ab = mu_a * mu_b
+    mu_sq = mu_a ** 2 + mu_b ** 2
+    num = (2 * mu_ab + c1) * (2 * (ab - mu_ab) + c2)
+    den = (mu_sq + c1) * (sq - mu_sq + c2)
     return float(np.mean(num / den))
 
 

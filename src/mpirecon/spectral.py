@@ -16,6 +16,7 @@ kernel), so grid values and coefficients are related by an orthogonal map.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -73,6 +74,14 @@ def basis_matrix_1d(n_modes: int, points: np.ndarray) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=32)
+def _cell_basis(n_modes: int, n: int) -> np.ndarray:
+    """Read-only basis_matrix_1d(n_modes, cell_centers(n)), built once per size."""
+    table = basis_matrix_1d(n_modes, cell_centers(n))
+    table.flags.writeable = False
+    return table
+
+
 @dataclass
 class CoeffTensor:
     """Truncated cosine coefficients, shape (N, M, 2, 2)."""
@@ -109,30 +118,25 @@ def _contract(px: np.ndarray, c: np.ndarray, py: np.ndarray) -> np.ndarray:
 def synthesize_scalar(coeffs: np.ndarray, nx: int, ny: int) -> ScalarField:
     """Evaluate sum_m c_m-normalized cosine expansion at the cell centers."""
     N, M = coeffs.shape
-    Px = basis_matrix_1d(N, cell_centers(nx))  # (N, nx)
-    Py = basis_matrix_1d(M, cell_centers(ny))  # (M, ny)
-    return ScalarField(_contract(Px, coeffs, Py))
+    return ScalarField(_contract(_cell_basis(N, nx), coeffs, _cell_basis(M, ny)))
 
 
 def analyze_scalar(f: ScalarField) -> np.ndarray:
     """Inverse of :func:`synthesize_scalar` with N = nx, M = ny."""
-    Px = basis_matrix_1d(f.nx, cell_centers(f.nx))
-    Py = basis_matrix_1d(f.ny, cell_centers(f.ny))
+    Px, Py = _cell_basis(f.nx, f.nx), _cell_basis(f.ny, f.ny)
     return f.cell_area * _contract(Px.T, f.values, Py.T)
 
 
 def synthesize(coeffs: CoeffTensor, nx: int, ny: int) -> MatrixField:
     """Matrix field A(x_i, y_j) = sum_m A_m u_m(x_i, y_j)."""
-    Px = basis_matrix_1d(coeffs.N, cell_centers(nx))
-    Py = basis_matrix_1d(coeffs.M, cell_centers(ny))
-    return MatrixField(_contract(Px, coeffs.coeffs, Py))
+    return MatrixField(_contract(_cell_basis(coeffs.N, nx), coeffs.coeffs,
+                                 _cell_basis(coeffs.M, ny)))
 
 
 def analyze(field: MatrixField) -> CoeffTensor:
     """Coefficients of a matrix field; requires N = nx, M = ny (orthogonal map)."""
     nx, ny = field.nx, field.ny
-    Px = basis_matrix_1d(nx, cell_centers(nx))
-    Py = basis_matrix_1d(ny, cell_centers(ny))
+    Px, Py = _cell_basis(nx, nx), _cell_basis(ny, ny)
     w = (2.0 / nx) * (2.0 / ny)
     return CoeffTensor(w * _contract(Px.T, field.values, Py.T))
 

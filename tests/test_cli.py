@@ -1,14 +1,17 @@
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import mpirecon
 from mpirecon.cli import main
 from mpirecon.config import (ConfigError, PipelineConfig, apply_overrides,
                              apply_preset, load_config)
-from mpirecon.fields import load_field
+from mpirecon.fields import ScalarField, load_field, save_field
 from mpirecon.forward import write_series_csv, ScanSeries
 from mpirecon.spectral import load_coeffs
 from mpirecon.trajectory import LissajousSpec, make_scan
@@ -186,6 +189,30 @@ def test_metrics_command(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     assert main(["metrics", gt, gt, "--csv", str(scores)]) == 1
     assert not scores.exists()
+
+
+def test_metrics_smaller_than_ssim_window_exits_1(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for n in (8, 11, 64):
+        paths[n] = [str(tmp_path / f"{n}_{k}.pgm") for k in "ab"]
+        for path in paths[n]:
+            save_field(ScalarField(rng.uniform(size=(n, n))), path)
+    assert main(["metrics", *paths[8]]) == 1
+    assert "usage error" in capsys.readouterr().err
+    # the ground truth is resampled onto the 8x8 reconstruction first
+    assert main(["metrics", paths[8][0], paths[64][0]]) == 1
+    assert main(["metrics", *paths[11]]) == 0
+    assert "ssim=" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal costs about half of the package's import time, which
+    # every CLI process pays
+    src = os.path.dirname(os.path.dirname(mpirecon.__file__))
+    code = "import mpirecon.cli, sys; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_usage_and_io_exit_codes(tmp_path):

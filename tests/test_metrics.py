@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mpirecon.fields import ScalarField, resample_bilinear
+from mpirecon.fields import ScalarField, cell_centers, resample_bilinear
 from mpirecon.forward import convolve_same, core_response_field, offset_grids, quadrant_spectrum
 from mpirecon.kernels import KernelParams, kernel_trace
-from mpirecon.metrics import ideal_trace, psnr, ssim
+from mpirecon.metrics import _window_matrix, ideal_trace, psnr, ssim
 from mpirecon.phantom import disk, rasterize
+from mpirecon.spectral import _cell_basis, basis_matrix_1d
 
 PARAMS = KernelParams(h=0.05)
 
@@ -111,3 +112,36 @@ def test_ssim_symmetric():
     a = ScalarField(rng.normal(size=(16, 16)))
     b = ScalarField(rng.normal(size=(16, 16)))
     assert ssim(a, b, peak=1.0) == pytest.approx(ssim(b, a, peak=1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(100, 100), (11, 13), (13, 11)])
+def test_ssim_banded_gemm_matches_oracle(shape):
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=shape)
+    b = a + 0.3 * rng.normal(size=shape)
+    peak = float(a.max() - a.min())
+    assert abs(ssim(ScalarField(a), ScalarField(b), peak) - ssim_oracle(a, b, peak)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(100, 100), (11, 13)])
+def test_ssim_of_identical_images_is_exactly_one(shape):
+    x = ScalarField(np.random.default_rng(7).uniform(size=shape))
+    assert ssim(x, x, peak=1.0) == 1.0
+
+
+@pytest.mark.parametrize("n", [11, 12, 42, 100])
+def test_window_matrix_rows(n):
+    t = _window_matrix(n)
+    assert t.shape == (n - 10, n)
+    np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    for i, row in enumerate(t):
+        assert np.count_nonzero(row) == 11
+        assert np.count_nonzero(row[i:i + 11]) == 11
+
+
+def test_cached_tables_are_read_only():
+    for table in (_window_matrix(20), _cell_basis(8, 12)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    for m, n in [(8, 12), (12, 12), (64, 100)]:
+        assert np.array_equal(_cell_basis(m, n), basis_matrix_1d(m, cell_centers(n)))
