@@ -11,19 +11,21 @@ C = W Ct W^T is the linear (zero-padded) discrete convolution with kappa_h:
 the circulant Ct on the forward model's padded FFT grid, whose real
 spectrum K is the DCT-I of kappa_h's nonnegative-offset quadrant, seen
 through the image window W.  The Tikhonov subproblem (C^2 + nu) rho = b is
-solved by CG on the normal equations, preconditioned with the padded-grid
-inverse restricted to the window, M = W F^-1 diag(1 / (K^2 + nu)) F W^T:
-one more convolution per iteration, SPD as the restriction of an SPD
-circulant (Ku & Kuo, IEEE TSP 40, 1992).  Each data step hands on its
-solution with C^2 of it (``DataIterate``), taken from CG's own residual at
-exit, C^2 x = b - r - nu x, so the next step's initial residual needs no
-convolution.  A data step that takes no CG iteration returns its start
-unchanged; from there every HQS iteration repeats bitwise, so the loop
-stops.  The first iteration does not depend on mu, so a search over mu
-computes it once per trace (``hqs_first_step``).  The denoiser is
-pluggable: the built-in choice is a Gaussian blur keyed to sigma, and an
-external-process protocol lets a learned denoiser drop in without code
-changes.
+solved by mixed-precision iterative refinement (Carson & Higham, SIAM J.
+Sci. Comput. 40, 2018): each pass forms the residual in float64 and solves
+for the correction by CG in float32, on the residual scaled to unit norm,
+preconditioned with the padded-grid inverse restricted to the window,
+M = W F^-1 diag(1 / (K^2 + nu)) F W^T: one more convolution per
+iteration, SPD as the restriction of an SPD circulant (Ku & Kuo, IEEE TSP
+40, 1992).  Each data step hands on its solution with C^2 of it
+(``DataIterate``), the float64 C^2 x its last residual check computed, so
+the next step's initial residual needs no convolution.  A data step whose
+initial residual already meets the tolerance returns its start unchanged;
+from there every HQS iteration repeats bitwise, so the loop stops.  The
+first iteration does not depend on mu, so a search over mu computes it
+once per trace (``hqs_first_step``).  The denoiser is pluggable: the
+built-in choice is a Gaussian blur keyed to sigma, and an external-process
+protocol lets a learned denoiser drop in without code changes.
 """
 
 from __future__ import annotations
@@ -44,8 +46,13 @@ from .kernels import KernelParams, kernel_trace
 
 log = logging.getLogger(__name__)
 
-CG_MAX_ITER = 1000  # cap on CG iterations per Tikhonov step
-CG_TOL = 1e-6       # relative residual at which a Tikhonov step's CG stops
+CG_MAX_ITER = 1000  # cap on CG iterations per Tikhonov step, all passes together
+CG_TOL = 1e-6       # relative float64 residual at which a Tikhonov step stops
+# Floor on the float32 CG's relative residual within one refinement pass:
+# 8 float32 ulps (9.5e-7).  A float32 solve cannot take the true residual
+# much below a few ulps, so a tighter inner stop only spends iterations;
+# the next float64 pass goes further.
+INNER_TOL_FLOOR = 8 * float(np.finfo(np.float32).eps)
 
 
 class ConvolutionOperator:
@@ -59,15 +66,23 @@ class ConvolutionOperator:
 
     def __init__(self, quadrant: np.ndarray):
         self._khat = quadrant_spectrum(quadrant)
+        self._khat32 = self._khat.astype(np.float32)
         # spectrum of the periodic (wrapped) kernel on the n x n grid
         self.periodic_spectrum = sfft.fft2(_wrap(quadrant))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return convolve_same(x, self._khat)
 
-    def preconditioner(self, nu: float):
-        """r -> W (Ct^2 + nu)^-1 W^T r, Ct the circulant on the padded grid."""
-        spectrum = 1.0 / (self._khat * self._khat + nu)
+    def apply_single(self, x: np.ndarray) -> np.ndarray:
+        """C in float32, for a float32 x."""
+        return convolve_same(x, self._khat32)
+
+    def preconditioner(self, nu: float, dtype=np.float64):
+        """r -> W (Ct^2 + nu)^-1 W^T r, Ct the circulant on the padded grid.
+
+        The spectrum is formed in float64 and cast to ``dtype`` once.
+        """
+        spectrum = (1.0 / (self._khat * self._khat + nu)).astype(dtype, copy=False)
         return lambda r: convolve_same(r, spectrum)
 
 
@@ -95,29 +110,27 @@ def build_convolution_operator(params: KernelParams, nx: int,
         kernel_trace(offset_grids(nx, ny), params) * (2.0 / nx) * (2.0 / ny))
 
 
-def _pcg(apply_a, b, x, r, precond, tol):
+def _pcg(apply_a, x, r, precond, tol, maxiter):
     """Preconditioned CG from the iterate x with residual r = b - A x.
 
-    x and r are updated in place; returns (iterations, converged).
+    Stops once ||r|| <= tol, absolute, or after maxiter iterations; x and r
+    are updated in place.  Returns the number of iterations.
     """
-    bnorm = float(np.linalg.norm(b))
-    if float(np.linalg.norm(r)) <= tol * bnorm:
-        return 0, True
     z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z))
-    for it in range(1, CG_MAX_ITER + 1):
+    for it in range(1, maxiter + 1):
         ap = apply_a(p)
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
-        if float(np.linalg.norm(r)) <= tol * bnorm:
-            return it, True
+        if float(np.linalg.norm(r)) <= tol:
+            return it
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return CG_MAX_ITER, False
+    return maxiter
 
 
 @dataclass
@@ -131,14 +144,20 @@ def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
                   op: ConvolutionOperator, tol: float = CG_TOL,
                   start: ScalarField | None = None,
                   cu: np.ndarray | None = None) -> DataIterate:
-    """argmin ||u - C rho||^2 + nu ||rho - rho2||^2 via CG on the normal eqs.
+    """argmin ||u - C rho||^2 + nu ||rho - rho2||^2: (C^2 + nu) rho = b.
 
-    CG starts at ``start`` (default rho2) and stops at relative residual
-    ``tol``, preconditioned on the padded grid.  A ``start`` that is a
-    DataIterate brings C^2 of itself, so the initial residual costs no
-    convolution; when CG then takes no iteration, ``start`` itself is
-    returned.  ``cu`` is C u when the caller has it.  Logs a warning when
-    the iteration cap is hit.
+    Mixed-precision iterative refinement from ``start`` (default rho2).
+    Each pass forms the residual r = b - (C^2 x + nu x) in float64, solves
+    (C^2 + nu) d = r / ||r|| by preconditioned CG in float32, adds
+    x += ||r|| d and takes C^2 x by two float64 convolutions.  The passes
+    stop once ||r|| <= ``tol`` ||b||, so ``tol`` holds for the float64
+    residual and the returned C^2 is that of the float64 check.  A
+    ``start`` that is a DataIterate brings C^2 of itself, so the initial
+    residual costs no convolution; when that residual already meets
+    ``tol``, ``start`` itself is returned.  ``cu`` is C u when the caller
+    has it.  CG iterations are capped at CG_MAX_ITER over all passes, and a
+    pass that does not shrink the float64 residual is dropped; either ends
+    the step with a warning.
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
@@ -146,22 +165,42 @@ def tikhonov_step(u: ScalarField, rho2: ScalarField, nu: float,
     if not np.any(b):  # the minimizer is 0
         return DataIterate(np.zeros_like(b), np.zeros_like(b))
     x0 = rho2 if start is None else start
+    x = x0.values
     if isinstance(x0, DataIterate):
         c2 = x0.c2
     else:
-        c2 = op.apply(op.apply(x0.values)) if np.any(x0.values) else np.zeros_like(b)
-
-    def apply_a(x):
-        return op.apply(op.apply(x)) + nu * x
-
-    x = x0.values.copy()
+        c2 = op.apply(op.apply(x)) if np.any(x) else np.zeros_like(b)
     r = b - (c2 + nu * x)   # as b - A x, so that consistent data gives r = 0 exactly
-    iters, ok = _pcg(apply_a, b, x, r, op.preconditioner(nu), tol)
-    if not ok:
-        log.warning("tikhonov_step: CG hit the iteration cap (%d)", iters)
-    if iters == 0:
-        return x0 if isinstance(x0, DataIterate) else DataIterate(x, c2)
-    return DataIterate(x, b - r - nu * x)
+    bnorm = float(np.linalg.norm(b))
+    rnorm = float(np.linalg.norm(r))
+    if rnorm <= tol * bnorm:
+        return x0 if isinstance(x0, DataIterate) else DataIterate(x.copy(), c2)
+
+    nu32 = np.float32(nu)
+
+    def apply_a(p):
+        return op.apply_single(op.apply_single(p)) + nu32 * p
+
+    precond = op.preconditioner(nu, np.float32)
+    budget = CG_MAX_ITER
+    while budget > 0:
+        # r / ||r|| in float64 first: r itself may lie outside float32's range
+        r32 = (r * (1.0 / rnorm)).astype(np.float32)
+        d = np.zeros_like(r32)
+        budget -= _pcg(apply_a, d, r32, precond,
+                       max(tol * bnorm / rnorm, INNER_TOL_FLOOR), budget)
+        x_new = x + np.float64(rnorm) * d   # in float64, as ||r|| may not fit float32
+        c2_new = op.apply(op.apply(x_new))
+        r_new = b - (c2_new + nu * x_new)
+        rnorm_new = float(np.linalg.norm(r_new))
+        if not rnorm_new < rnorm:   # the pass did not help (or is not finite)
+            break
+        x, c2, r, rnorm = x_new, c2_new, r_new, rnorm_new
+        if rnorm <= tol * bnorm:
+            return DataIterate(x, c2)
+    log.warning("tikhonov_step: CG hit the iteration cap (%d iterations, relative "
+                "residual %.3g)", CG_MAX_ITER - budget, rnorm / bnorm)
+    return DataIterate(x.copy(), c2)   # x may still be the start's array
 
 
 def estimate_sigma(rho1: ScalarField) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import stat
 
@@ -218,6 +219,76 @@ def test_tikhonov_matches_periodic_fourier_oracle():
     oracle = np.real(sfft.ifft2((np.conj(khat) * sfft.fft2(u.values))
                                 / (np.abs(khat) ** 2 + nu)))
     assert np.max(np.abs(got.values - oracle)) < 1e-6
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_tikhonov_refinement_meets_tol_in_float64(tol, caplog):
+    # the float32 inner CG leaves float32 rounding behind; the float64
+    # refinement passes must still reach tol on the true residual, down to
+    # nu = 1e-8, with the kappa_h of the pipeline presets (h = 0.01)
+    n = 100
+    op = build_convolution_operator(KernelParams(h=0.01), n, n)
+    rng = np.random.default_rng(23)
+    rho = np.zeros((n, n))
+    rho[30:60, 40:70] = 1.0
+    u = ScalarField(op.apply(rho) + 0.01 * rng.normal(size=(n, n)))
+    rho2 = ScalarField(0.5 * rho)
+    for nu in (1e2, 1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+        b = op.apply(u.values) + nu * rho2.values
+        out = tikhonov_step(u, rho2, nu, op, tol=tol)
+        c2 = op.apply(op.apply(out.values))
+        assert np.linalg.norm(c2 + nu * out.values - b) <= 1.01 * tol * np.linalg.norm(b)
+        np.testing.assert_array_equal(out.c2, c2)
+    assert "iteration cap" not in caplog.text
+
+
+def test_tikhonov_iteration_cap_returns_finite_iterate(monkeypatch, caplog):
+    n = 32
+    op = build_convolution_operator(KernelParams(h=0.01), n, n)
+    u = ScalarField(np.random.default_rng(24).normal(size=(n, n)))
+    monkeypatch.setattr(deconv_stage, "CG_MAX_ITER", 3)
+    with caplog.at_level("WARNING", logger="mpirecon.deconv_stage"):
+        out = tikhonov_step(u, ScalarField.zeros(n, n), 1e-6, op, tol=1e-12)
+    assert np.all(np.isfinite(out.values))
+    np.testing.assert_array_equal(out.c2, op.apply(op.apply(out.values)))
+    assert "tikhonov_step: CG hit the iteration cap" in caplog.text
+
+
+@pytest.mark.parametrize("s", [1e-30, 1e30])
+def test_tikhonov_step_is_scale_equivariant(s):
+    # the inner float32 CG sees r / ||r||, so no scale of the data under-
+    # or overflows float32 where the float64 step would not
+    n = 24
+    op = build_convolution_operator(PARAMS, n, n)
+    rng = np.random.default_rng(25)
+    u, rho2 = rng.normal(size=(2, n, n))
+    want = s * tikhonov_step(ScalarField(u), ScalarField(rho2), 0.03, op, tol=1e-12).values
+    got = tikhonov_step(ScalarField(s * u), ScalarField(s * rho2), 0.03, op, tol=1e-12)
+    assert np.all(np.isfinite(got.values)) and np.all(np.isfinite(got.c2))
+    assert np.linalg.norm(got.values - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_tikhonov_inner_iterations_run_in_float32(monkeypatch):
+    # each refinement pass: float32 CG convolutions, then exactly two float64
+    # convolutions for C^2 x; nothing else in a step with C u and C^2 start
+    op, u = disk_trace(32)
+    cu = op.apply(u.values)
+    rho2 = ScalarField(np.zeros((32, 32)))
+    start = tikhonov_step(u, rho2, 1.0, op, cu=cu)
+    seen = []
+    conv = deconv_stage.convolve_same
+
+    def recording(x, spectrum):
+        assert x.dtype == spectrum.dtype
+        seen.append(x.dtype)
+        return conv(x, spectrum)
+
+    monkeypatch.setattr(deconv_stage, "convolve_same", recording)
+    tikhonov_step(u, rho2, 1e-3, op, tol=1e-12, start=start, cu=cu)
+    runs = [(dtype, len(list(group))) for dtype, group in itertools.groupby(seen)]
+    assert len(runs) >= 4   # at least two refinement passes
+    assert [dtype for dtype, _ in runs] == [np.float32, np.float64] * (len(runs) // 2)
+    assert all(count == 2 for dtype, count in runs if dtype == np.float64)
 
 
 def test_estimate_sigma():
