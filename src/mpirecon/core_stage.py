@@ -24,8 +24,8 @@ primal unknowns or, when K is smaller, in the K dual weights alpha of the
 smoothing-spline representer form:
 (L I + (4/lambda) Phi_+ W_+^-1 Phi_+^T) alpha = s - Phi_0 x_0 with
 x_+ = (4/lambda) W_+^-1 Phi_+^T alpha.  The unpenalized constant mode x_0 is
-split out and fixed by its 2x2 Schur complement.  The forward map
-factorizes through two 1D cosine tables thanks to the tensor-product basis.
+split out and fixed by its 2x2 Schur complement.  Both forms and the
+unmerged reference operator share one design map B and its adjoint.
 
 Each cosine is even or odd under the reflections x -> -x and y -> -y of
 Omega, so the kernel sum_m u_m(r) u_m(r') / w_m is invariant under them, under
@@ -92,30 +92,26 @@ class CoreSolution:
 class CoreOperator:
     """Matrix-free forward map B, its adjoint, and the SPD system H.
 
-    B maps coefficients to predicted signals, (B A)_l = sum_m u_m(r_l) A_m v_l.
+    B maps coefficients to predicted signals, (B A)_l = sum_m u_m(r_l) A_m v_l,
+    on the scan's own, unmerged samples (_Design).
     H A = (lambda/|Omega|) w (.) A + (1/L) B^T B A.
     """
 
     def __init__(self, problem: CoreProblem):
         geom = problem.scan.geometry
         self.L = len(geom)
-        self.v = geom.velocities                        # (L, 2)
-        self.ux = basis_matrix_1d(problem.N, geom.positions[:, 0])  # (N, L)
-        self.uy = basis_matrix_1d(problem.M, geom.positions[:, 1])  # (M, L)
+        self.design = _Design(problem.N, problem.M, geom.positions, geom.velocities)
         self.weights = _mode_weights(problem)
         self.reg = (problem.lam / OMEGA_AREA) * self.weights        # (N, M)
         self.shape = (problem.N, problem.M, 2, 2)
 
     def apply_b(self, coeffs: np.ndarray) -> np.ndarray:
         """(L, 2) predicted signals from (N, M, 2, 2) coefficients."""
-        N, M = self.shape[:2]
-        t = (self.ux.T @ coeffs.reshape(N, M * 4)).reshape(self.L, M, 2, 2)
-        s = np.einsum("ml,lmab->lab", self.uy, t)
-        return np.einsum("lab,lb->la", s, self.v)
+        return self.design.forward(coeffs)
 
     def apply_bt(self, sig: np.ndarray) -> np.ndarray:
         """Adjoint: (N, M, k, 2) from (L, k) signals; k = 2 for one series."""
-        return _adjoint(self.ux, self.uy, self.v, sig)
+        return self.design.adjoint(sig)
 
     def apply_h(self, coeffs: np.ndarray) -> np.ndarray:
         out = self.reg[:, :, None, None] * coeffs
@@ -138,14 +134,6 @@ def _mode_weights(problem: CoreProblem) -> np.ndarray:
     return mu if problem.order == 1 else mu * mu
 
 
-def _adjoint(ux: np.ndarray, uy: np.ndarray, v: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """(N, M, k, 2) = sum_l u(r_l) (x) sig_l (x) v_l for (L, k) signals."""
-    outer = sig[:, :, None] * v[:, None, :]                         # (L, k, 2)
-    t = uy[:, :, None, None] * outer[None, :, :, :]                 # (M, L, k, 2)
-    t = np.swapaxes(t, 0, 1).reshape(len(v), -1)
-    return (ux @ t).reshape(len(ux), len(uy), -1, 2)
-
-
 def _runs(values: np.ndarray):
     """Cluster values into runs of sorted neighbours at most MERGE_TOL apart.
 
@@ -159,6 +147,54 @@ def _runs(values: np.ndarray):
     run = np.empty(len(values), dtype=int)
     run[order] = np.cumsum(new) - 1
     return run, ordered[new]
+
+
+class _Design:
+    """The design map (B A)_l = sum_m u_m(r_l) A_m v_l of rows (r_l, v_l), and B^T.
+
+    Each coordinate axis is snapped to its distinct values (_runs): the
+    Lissajous samples lie on a tensor grid of cosine nodes (Erb, Kaethner,
+    Ahlborg & Buzug, Numer. Math. 133, 2016), so the 1D cosine tables xtab
+    (N, Dx) and ytab (M, D) are evaluated once per distinct value, and row l
+    sits at (xs[ix_l], ys[iy_l]).  B and B^T go one axis at a time (sum
+    factorization; Orszag, J. Comput. Phys. 37, 1980): GEMMs against ytab
+    for the y-axis, and per y-value one GEMM of its rows against their
+    x-table columns, batched over the values with as many rows.  A stable
+    argsort of iy gathers each value's rows, so they may come in any order.
+    """
+
+    def __init__(self, N: int, M: int, positions: np.ndarray, v: np.ndarray):
+        (self.ix, self.xs), (self.iy, self.ys) = (_runs(p) for p in positions.T)
+        self.xtab, self.ytab = basis_matrix_1d(N, self.xs), basis_matrix_1d(M, self.ys)
+        self.v = v                                                  # (rows, 2)
+        counts = np.bincount(self.iy)
+        first = np.cumsum(counts) - counts
+        by_y = np.argsort(self.iy, kind="stable")
+        self.batches = []                   # (values, their rows, x-tables)
+        for n in np.unique(counts):
+            values = np.flatnonzero(counts == n)
+            rows = by_y[first[values][:, None] + np.arange(n)]
+            self.batches.append((values, rows, np.ascontiguousarray(
+                self.xtab.T[self.ix[rows]].transpose(0, 2, 1))))
+
+    def forward(self, coeffs: np.ndarray) -> np.ndarray:
+        """(rows, 2) predicted signals from (N, M, 2, 2) coefficients."""
+        N, M = coeffs.shape[:2]
+        a = coeffs.swapaxes(0, 1).reshape(M, -1)
+        p = np.empty((len(self.v), 4))
+        for values, rows, x_tables in self.batches:
+            t = (self.ytab.T[values] @ a).reshape(-1, N, 4)
+            p[rows] = x_tables.transpose(0, 2, 1) @ t
+        return np.einsum("lab,lb->la", p.reshape(-1, 2, 2), self.v)
+
+    def adjoint(self, sig: np.ndarray) -> np.ndarray:
+        """(N, M, k, 2) = sum_l u(r_l) (x) sig_l (x) v_l for (rows, k) weights."""
+        outer = (sig[:, :, None] * self.v[:, None, :]).reshape(len(sig), -1)   # (rows, 2k)
+        z = np.empty((len(self.ys), len(self.xtab), outer.shape[1]))
+        for values, rows, x_tables in self.batches:
+            z[values] = x_tables @ outer[rows]
+        x = self.ytab @ z.reshape(len(z), -1)
+        return x.reshape(len(self.ytab), len(self.xtab), -1, 2).swapaxes(0, 1)
 
 
 def _parallel_rows(positions: np.ndarray, velocities: np.ndarray):
@@ -221,27 +257,25 @@ def _solve_split(blocks, c, g):
     return [sol[:, :-2] - sol[:, -2:] @ z for sol in sols], z
 
 
-def _mirror_rows(ix: np.ndarray, iy: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                 v: np.ndarray, J: np.ndarray):
+def _mirror_rows(d: _Design, J: np.ndarray):
     """Pair the rows under g(r) = J r: (partner, sign), or None if g does not map.
 
-    Row r sits at the distinct values (xs[ix_r], ys[iy_r]), and the rows are
-    ordered by (iy, ix).  Row p is row r's image when p's values are those
-    of J r_r to MERGE_TOL and v_p = s_r J v_r to MERGE_TOL times the largest
-    speed, with s_r = +-1.  A zero row is its own image with sign +1: its
-    Gram row is zero, so every map keeps it.  g maps when every row has an
-    image and the images pair the rows up: partner[partner] = identity with
-    equal signs (a row may be its own image).
+    The rows of d are ordered by (iy, ix).  Row p is row r's image when p's
+    values are those of J r_r to MERGE_TOL and v_p = s_r J v_r to MERGE_TOL
+    times the largest speed, with s_r = +-1.  A zero row is its own image
+    with sign +1: its Gram row is zero, so every map keeps it.  g maps when
+    every row has an image and the images pair the rows up: partner[partner]
+    = identity with equal signs (a row may be its own image).
     """
-    values, index, image = (xs, ys), (ix, iy), []
+    values, index, v, image = (d.xs, d.ys), (d.ix, d.iy), d.v, []
     for axis in (0, 1):                 # J is a signed permutation
         src = int(np.flatnonzero(J[axis])[0])
         want, have = J[axis, src] * values[src], values[axis]
         at = np.minimum(np.searchsorted(have, want - MERGE_TOL), len(have) - 1)
         image.append(np.where(np.abs(have[at] - want) <= MERGE_TOL, at, -1)[index[src]])
     K, moving = len(v), np.any(v, axis=1)
-    key = iy * len(xs) + ix                         # nondecreasing
-    image_key = np.where(np.minimum(*image) < 0, -1, image[1] * len(xs) + image[0])
+    key = d.iy * len(d.xs) + d.ix                   # nondecreasing
+    image_key = np.where(np.minimum(*image) < 0, -1, image[1] * len(d.xs) + image[0])
     first = np.searchsorted(key, image_key, side="left")
     stop = np.searchsorted(key, image_key, side="right")
     if np.any(moving & (first == stop)):           # a position without an image
@@ -306,13 +340,11 @@ class CoreSystem:
 
     The design rows are merged first (_parallel_rows), so the system has one
     row per distinct (position, velocity direction): K rows for L samples.
-    Each coordinate axis is then snapped to its distinct values (_runs): the
-    Lissajous samples lie on a tensor grid of cosine nodes, so the 1D cosine
-    tables are evaluated once per distinct value, and the rows, ordered by
-    y-value, enter the dual Gram and its adjoint per distinct y-value.  The
-    Gram matrix depends on neither lambda nor the signals, so it is built
-    once; each solve() factors it for its lambda and takes every signal
-    series as a right-hand side.  The dual (K x K) form is used when
+    Ordered by y-value, then x-value, they form the design map (_Design)
+    and enter the dual Gram per distinct y-value.  The Gram matrix depends
+    on neither lambda nor the signals, so it is built once; each solve()
+    factors it for its lambda and takes every signal series as a right-hand
+    side.  The dual (K x K) form is used when
     K < 2NM, the primal (2NM x 2NM) form otherwise.
 
     The dual system is split into sectors.  The first of SQUARE_MAPS that
@@ -333,52 +365,34 @@ class CoreSystem:
         self.weights = _mode_weights(problem)
         positions, velocities = geom.positions, geom.velocities
         reps, group, c = _parallel_rows(positions, velocities)
-        (ix, xs), (iy, ys) = (_runs(p) for p in positions[reps].T)
+        (ix, _), (iy, _) = (_runs(p) for p in positions[reps].T)
         order = np.lexsort((ix, iy))            # rows by y-value, then x-value
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         self.group = rank[group]
-        reps, ix, iy = reps[order], ix[order], iy[order]
+        reps = reps[order]
         norm = np.sqrt(np.bincount(self.group, c * c))
         # merged s_g = sum_l scale_l s_l; 0 for a sample that does not move
         self.scale = c / np.where(norm > 0, norm, 1.0)[self.group]
-        self.xs, self.ys = xs, ys               # the distinct coordinate values
-        xtab, ytab = basis_matrix_1d(N, xs), basis_matrix_1d(M, ys)
-        self.ux, self.uy = xtab[:, ix], ytab[:, iy]
-        self.v = norm[:, None] * velocities[reps]                   # (K, 2)
-        self.K = len(reps)
+        d = self.design = _Design(N, M, positions[reps], norm[:, None] * velocities[reps])
+        self.xs, self.ys, self.v, self.K = d.xs, d.ys, d.v, len(reps)
         self.dual = self.K < 2 * N * M
         if self.dual:
             # W_+^-1, with 0 at the constant mode (weight 0), which phi0 carries
             self.inv_w = 1.0 / np.where(self.weights > 0, self.weights, np.inf)
-            self.phi0 = (self.ux[0] * self.uy[0])[:, None] * self.v   # (K, 2)
-            self.ytab = ytab
-            # the rows at each distinct y-value, batched by their count
-            counts = np.bincount(iy)
-            first = np.cumsum(counts) - counts
-            self.batches = []                   # (values, their rows, x-tables)
-            for n in np.unique(counts):
-                values = np.flatnonzero(counts == n)
-                rows = first[values][:, None] + np.arange(n)
-                self.batches.append((values, rows, np.ascontiguousarray(
-                    self.ux.T[rows].transpose(0, 2, 1))))
-            self._split(ix, iy, xtab.T, ytab.T)
+            self.phi0 = (d.xtab[0, d.ix] * d.ytab[0, d.iy])[:, None] * self.v   # (K, 2)
+            self._split()
         else:
-            u = (self.ux.T[:, :, None] * self.uy.T[:, None, :]).reshape(self.K, N * M)
+            u = (d.xtab.T[d.ix, :, None] * d.ytab.T[d.iy, None, :]).reshape(self.K, N * M)
             phi = (u[:, :, None] * self.v[:, None, :]).reshape(self.K, 2 * N * M)
             self.normal = phi.T @ phi                               # Phi^T Phi
 
-    def _split(self, ix, iy, xa, ya):
-        """Find the scan's map g and build the lower triangle of each sector.
-
-        xa and ya hold the cosine factors of the distinct x- and y-values,
-        one row per value; ix and iy index them per merged row.
-        """
-        K = self.K
+    def _split(self):
+        """Find the scan's map g and build the lower triangle of each sector."""
+        d, K = self.design, self.K
         self.symmetry, partner, sign = None, np.arange(K), np.ones(K)
         for J, square in SQUARE_MAPS:
-            pairing = None if square and self.N != self.M else \
-                _mirror_rows(ix, iy, self.xs, self.ys, self.v, J)
+            pairing = None if square and self.N != self.M else _mirror_rows(d, J)
             if pairing is not None:
                 self.symmetry, (partner, sign) = J, pairing
                 break
@@ -393,9 +407,9 @@ class CoreSystem:
         images = self.pair_images
         P, n_plus = len(images), len(images) + len(fixed[0])
         minus = np.zeros((P + len(fixed[1]),) * 2)
-        gram = _dual_gram(xa[ix[ordered]], ya, iy[ordered], self.v[ordered], self.inv_w,
-                          (xa[ix[images]], iy[images], self.pair_sign[:, None] * self.v[images]),
-                          minus)
+        gram = _dual_gram(d.xtab.T[d.ix[ordered]], d.ytab.T, d.iy[ordered], d.v[ordered],
+                          self.inv_w, (d.xtab.T[d.ix[images]], d.iy[images],
+                                       self.pair_sign[:, None] * d.v[images]), minus)
         minus[P:, :P] = gram[n_plus:, :P]
         minus[P:, P:] = gram[n_plus:, n_plus:]
         self.sectors = []                               # (sign, fixed rows, Gram block)
@@ -418,20 +432,6 @@ class CoreSystem:
             basis[fixed, np.arange(P, len(block))] = 1.0
             full += basis @ (np.tril(block) + np.tril(block, -1).T) @ basis.T
         return full
-
-    def _dual_adjoint(self, alpha: np.ndarray) -> np.ndarray:
-        """(N, M, k, 2) = sum_i u(r_i) (x) alpha_i (x) v_i for (K, k) row weights.
-
-        The rows at each distinct y-value take one GEMM against their x-table
-        columns (one batched GEMM for all values with as many rows), and one
-        GEMM against the y-table sums over the values.
-        """
-        outer = (alpha[:, :, None] * self.v[:, None, :]).reshape(self.K, -1)   # (K, 2k)
-        z = np.empty((len(self.ys), self.N, outer.shape[1]))
-        for values, rows, x_tables in self.batches:
-            z[values] = x_tables @ outer[rows]
-        x = self.ytab @ z.reshape(len(z), -1)
-        return x.reshape(self.M, self.N, -1, 2).swapaxes(0, 1)
 
     def solve(self, signals: np.ndarray, lam: float) -> np.ndarray:
         """(R, N, M, 2, 2) minimizers for R signal series of shape (L, 2)."""
@@ -461,14 +461,14 @@ class CoreSystem:
                 sigma * y[:P] for (sigma, _, _), y in zip(self.sectors, parts))
             for (_, fixed, _), y in zip(self.sectors, parts):
                 alpha[fixed] = y[P:]
-            x = self._dual_adjoint(alpha)
+            x = self.design.adjoint(alpha)
             x *= (4.0 / lam) * self.inv_w[:, :, None, None]
             x[0, 0] = const.T
             return np.moveaxis(x.reshape(N, M, -1, 2, 2), 2, 0)
         # primal unknowns are rows (mode, b)
         h = self.normal / self.L
         h[np.diag_indices_from(h)] += (lam / OMEGA_AREA) * np.repeat(self.weights.ravel(), 2)
-        b = np.swapaxes(_adjoint(self.ux, self.uy, self.v, s) / self.L, 2, 3).reshape(2 * N * M, -1)
+        b = np.swapaxes(self.design.adjoint(s) / self.L, 2, 3).reshape(2 * N * M, -1)
         (xp,), const = _solve_split([(h[2:, 2:], np.concatenate([b[2:], h[2:, :2]], axis=1))],
                                     h[:2, :2], b[:2])
         return np.concatenate([const, xp]).reshape(N, M, 2, -1, 2).transpose(3, 0, 1, 4, 2)

@@ -16,6 +16,19 @@ def small_series(L=50, seed=0, zero_signals=False):
     return ScanSeries(geom, signals)
 
 
+def scan_series(geom, step=1):
+    # every step-th sample of the geometry, with zero signals
+    geom = ScanGeometry(geom.times[::step], geom.positions[::step], geom.velocities[::step])
+    return ScanSeries(geom, np.zeros((len(geom), 2)))
+
+
+# rows out of y-order, with snapped or repeated coordinates (defined below)
+UNSORTED_SCANS = [
+    pytest.param(lambda: scan_series(only_x_repeats_scan()), id="only_x_repeats"),
+    pytest.param(lambda: scan_series(jittered_scan(), step=8), id="jittered"),
+    pytest.param(lambda: mirrored_series(19), id="mirrored")]
+
+
 def test_predict_zero_coeffs():
     series = small_series()
     assert np.all(predict(CoeffTensor.zeros(6, 6), series) == 0.0)
@@ -29,8 +42,10 @@ def test_predict_constant_mode_identity():
     np.testing.assert_allclose(p, series.geometry.velocities, rtol=1e-13)
 
 
-def test_predict_matches_dense_evaluation():
-    series = small_series(L=40, seed=1)
+@pytest.mark.parametrize("scan", [
+    pytest.param(lambda: small_series(L=40, seed=1), id="lissajous"), *UNSORTED_SCANS])
+def test_predict_matches_dense_evaluation(scan):
+    series = scan()
     rng = np.random.default_rng(2)
     C = CoeffTensor(rng.normal(size=(5, 7, 2, 2)))
     got = predict(C, series)
@@ -117,8 +132,10 @@ def test_gradient_at_exact_fit_reduces_to_regularizer():
     np.testing.assert_allclose(g, (0.7 / 4.0) * w * C.coeffs, rtol=1e-12, atol=1e-12)
 
 
-def test_hessian_symmetric_and_positive():
-    series = small_series(L=60, seed=9)
+@pytest.mark.parametrize("scan", [
+    pytest.param(lambda: small_series(L=60, seed=9), id="lissajous"), *UNSORTED_SCANS])
+def test_hessian_symmetric_and_positive(scan):
+    series = scan()
     problem = CoreProblem(series, N=6, M=6, order=1, lam=0.05)
     op = CoreOperator(problem)
     rng = np.random.default_rng(10)
