@@ -100,7 +100,8 @@ class CoreOperator:
     def __init__(self, problem: CoreProblem):
         geom = problem.scan.geometry
         self.L = len(geom)
-        self.design = _Design(problem.N, problem.M, geom.positions, geom.velocities)
+        self.design = _Design(problem.N, problem.M, [_runs(p) for p in geom.positions.T],
+                              geom.velocities)
         self.weights = _mode_weights(problem)
         self.reg = (problem.lam / OMEGA_AREA) * self.weights        # (N, M)
         self.shape = (problem.N, problem.M, 2, 2)
@@ -161,10 +162,11 @@ class _Design:
     for the y-axis, and per y-value one GEMM of its rows against their
     x-table columns, batched over the values with as many rows.  A stable
     argsort of iy gathers each value's rows, so they may come in any order.
+    ``runs`` holds _runs of the rows' x-values, then of their y-values.
     """
 
-    def __init__(self, N: int, M: int, positions: np.ndarray, v: np.ndarray):
-        (self.ix, self.xs), (self.iy, self.ys) = (_runs(p) for p in positions.T)
+    def __init__(self, N: int, M: int, runs, v: np.ndarray):
+        (self.ix, self.xs), (self.iy, self.ys) = runs
         self.xtab, self.ytab = basis_matrix_1d(N, self.xs), basis_matrix_1d(M, self.ys)
         self.v = v                                                  # (rows, 2)
         counts = np.bincount(self.iy)
@@ -365,7 +367,8 @@ class CoreSystem:
         self.weights = _mode_weights(problem)
         positions, velocities = geom.positions, geom.velocities
         reps, group, c = _parallel_rows(positions, velocities)
-        (ix, _), (iy, _) = (_runs(p) for p in positions[reps].T)
+        runs = [_runs(p) for p in positions[reps].T]
+        (ix, _), (iy, _) = runs
         order = np.lexsort((ix, iy))            # rows by y-value, then x-value
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -374,7 +377,9 @@ class CoreSystem:
         norm = np.sqrt(np.bincount(self.group, c * c))
         # merged s_g = sum_l scale_l s_l; 0 for a sample that does not move
         self.scale = c / np.where(norm > 0, norm, 1.0)[self.group]
-        d = self.design = _Design(N, M, positions[reps], norm[:, None] * velocities[reps])
+        # reordering the rows keeps their runs: only the run indices move
+        d = self.design = _Design(N, M, [(i[order], values) for i, values in runs],
+                                  norm[:, None] * velocities[reps])
         self.xs, self.ys, self.v, self.K = d.xs, d.ys, d.v, len(reps)
         self.dual = self.K < 2 * N * M
         if self.dual:

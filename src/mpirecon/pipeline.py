@@ -4,12 +4,17 @@ The forward simulation runs on the fine grid and the reconstruction on the
 coarser spectral grid, so the inverse solver never sees its own
 discretization.  Parameter search follows the two-step scheme: a coarse
 magnitude scan over j*10^i with j in {1,5}, then a refined scan j in {1..9}
-over the neighboring magnitudes of the best coarse hit.
+over the neighboring magnitudes of the best coarse hit.  The grid values of
+a step are independent runs, evaluated on one worker thread per usable CPU;
+their Cholesky and FFT kernels release the GIL.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -224,12 +229,34 @@ class SearchResult:
     outputs: list = field(default_factory=list)   # the best value's outputs
 
 
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The search workers: one thread per usable CPU, started on first use."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="mpirecon-search")
+
+
+def _parallel_map(fn, items):
+    """fn over items on the search workers; yields the results in order and
+    re-raises a task's exception in the caller.
+
+    fn must not call _parallel_map itself: a task that waits on tasks queued
+    behind it in a full pool never finishes.
+    """
+    return _pool().map(fn, items)
+
+
 def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> SearchResult:
     """Two-step search scoring outputs_at(v) by mean PSNR/SSIM against gts.
 
     Each grid value is evaluated once; a value the grid visits again adds a
     row with its first scores.  The first value with the highest mean PSNR
-    wins, and the result keeps its outputs.
+    wins, and the result keeps its outputs.  A step's new values are
+    evaluated concurrently (_parallel_map) and scored in this thread in the
+    serial order, so the result is the serial loop's, bit for bit.
     """
     if any(min(gt.values.shape) < SSIM_WINDOW for gt in gts):
         raise ConfigError(f"bad grids configuration: searches score by SSIM, "
@@ -239,14 +266,14 @@ def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> Search
     result = SearchResult(math.nan, math.nan)
 
     def visit(values):
-        for v in sorted(values, reverse=True):
-            if v not in scores:
-                outputs = outputs_at(v)
-                psnrs, ssims = zip(*(score_pair(out, gt) for out, gt in zip(outputs, gts)))
-                scores[v] = float(np.mean(psnrs)), float(np.mean(ssims))
-                if len(scores) == 1 or scores[v][0] > result.best_score:
-                    result.best_value, result.best_score, result.outputs = v, scores[v][0], outputs
-            result.rows.append((v, *scores[v]))
+        values = sorted(values, reverse=True)
+        new = [v for v in dict.fromkeys(values) if v not in scores]
+        for v, outputs in zip(new, _parallel_map(outputs_at, new)):
+            psnrs, ssims = zip(*(score_pair(out, gt) for out, gt in zip(outputs, gts)))
+            scores[v] = float(np.mean(psnrs)), float(np.mean(ssims))
+            if len(scores) == 1 or scores[v][0] > result.best_score:
+                result.best_value, result.best_score, result.outputs = v, scores[v][0], outputs
+        result.rows.extend((v, *scores[v]) for v in values)
 
     visit(spec.coarse())
     if spec.refine and not spec.values:
@@ -291,19 +318,20 @@ def _deconv_recons(cfg: PipelineConfig, traces: list[ScalarField]):
     """A function mu -> the traces' deconvolutions, in trace order.
 
     The traces share one convolution operator, and each trace's first HQS
-    iteration, which does not depend on mu, is computed once.
+    iteration, which does not depend on mu, is computed once, up front.
     """
     op = convolution_operator(cfg, traces[0].nx) if traces else None
-    firsts = [None] * len(traces)
+
+    def first_step(trace: ScalarField):
+        # the first step reads no mu: any valid one will do, so the config's
+        # own mu, which the search replaces, is not checked
+        return hqs_first_step(deconv_problem(cfg, trace, mu=1.0), op)
+
+    firsts = list(_parallel_map(first_step, traces))
 
     def recons(mu: float) -> list[ScalarField]:
-        out = []
-        for i, trace in enumerate(traces):
-            problem = deconv_problem(cfg, trace, mu)
-            if firsts[i] is None:
-                firsts[i] = hqs_first_step(problem, op)
-            out.append(hqs_deconvolve(problem, op, firsts[i]))
-        return out
+        return [hqs_deconvolve(deconv_problem(cfg, trace, mu), op, first)
+                for trace, first in zip(traces, firsts)]
 
     return recons
 

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
 from mpirecon import core_stage, pipeline
-from mpirecon.config import PipelineConfig
+from mpirecon.config import ConfigError, PipelineConfig
 from mpirecon.phantom import builtin_suite
-from mpirecon.pipeline import GridSpec, run_experiment, simulate_case
+from mpirecon.pipeline import GridSpec, run_experiment, search_lambda, search_mu, simulate_case
 
 LAMBDAS = GridSpec(values=(0.5, 0.05, 0.05, 0.005))   # 3 distinct values
 MUS = GridSpec(values=(0.1, 0.01, 0.001, 0.01))        # 3 distinct values
@@ -28,13 +30,16 @@ def cases():
                  simulate_case(other, specs["k_thin"])]
 
 
-def spy_on_searches(monkeypatch, counts):
-    """Record each search's result and the solver call counts at its return."""
+def spy_on_searches(monkeypatch, calls):
+    """Record each search's result and the solver call counts at its return.
+
+    calls maps a solver to a list with one entry per call.
+    """
     seen = {}
     for name in ("search_lambda", "search_mu"):
         def spy(*args, _search=getattr(pipeline, name), _name=name, **kw):
             res = _search(*args, **kw)
-            seen[_name] = (res, dict(counts))
+            seen[_name] = (res, {k: len(v) for k, v in calls.items()})
             return res
         monkeypatch.setattr(pipeline, name, spy)
     return seen
@@ -56,21 +61,23 @@ def test_run_experiment_solves_nothing_after_its_searches(monkeypatch, cases):
     # each distinct lambda costs one solve per scan geometry and each
     # distinct mu one HQS run per case; the winners are never re-solved
     cfg, sims = cases
-    counts = {"solve": 0, "hqs": 0}
+    # the searches call the solvers on worker threads: list.append is atomic
+    calls = {"solve": [], "hqs": []}
     solve, hqs = core_stage.CoreSystem.solve, pipeline.hqs_deconvolve
 
     def counted_solve(self, *args, **kw):
-        counts["solve"] += 1
+        calls["solve"].append(None)
         return solve(self, *args, **kw)
 
     def counted_hqs(*args, **kw):
-        counts["hqs"] += 1
+        calls["hqs"].append(None)
         return hqs(*args, **kw)
 
     monkeypatch.setattr(core_stage.CoreSystem, "solve", counted_solve)
     monkeypatch.setattr(pipeline, "hqs_deconvolve", counted_hqs)
-    seen = spy_on_searches(monkeypatch, counts)
+    seen = spy_on_searches(monkeypatch, calls)
     run_experiment(cfg, sims, 2, LAMBDAS, MUS)
+    counts = {k: len(v) for k, v in calls.items()}
     n_lam, n_mu, geometries = len(set(LAMBDAS.values)), len(set(MUS.values)), 2
     assert counts == {"solve": n_lam * geometries, "hqs": n_mu * len(sims)}
     assert seen["search_lambda"][1] == {"solve": n_lam * geometries, "hqs": 0}
@@ -81,3 +88,52 @@ def test_grid_spec_refine_reads_config_booleans():
     assert GridSpec.parse("refine=on").refine is True
     assert GridSpec.parse("refine=Off").refine is False
     assert GridSpec.parse("default") == GridSpec() == GridSpec.parse("")
+
+
+def same_search(a, b) -> bool:
+    """Equal rows, winner and score, and bitwise-equal winning outputs."""
+    return ((a.rows, a.best_value, a.best_score) == (b.rows, b.best_value, b.best_score)
+            and [o.values.tobytes() for o in a.outputs] == [o.values.tobytes() for o in b.outputs])
+
+
+def test_searches_on_the_workers_equal_the_serial_loop(monkeypatch, cases):
+    # a two-step grid whose refine step revisits coarse values; the workers
+    # share operators and tables, and switch threads often
+    cfg, sims = cases
+    spec = GridSpec(exponents=(-3, -2), mantissas=(1.0, 5.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lam = search_lambda(cfg, sims, 2, spec)
+        traces = [(tr, case.rho_gt_recon) for tr, case in zip(lam.outputs, sims)]
+        mu = search_mu(cfg, traces, spec)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(pipeline, "_parallel_map", map)
+    assert same_search(lam, search_lambda(cfg, sims, 2, spec))
+    assert same_search(mu, search_mu(cfg, traces, spec))
+    assert len(lam.rows) == len(mu.rows) == 4 + 27
+
+
+def test_search_reraises_a_grid_values_config_error(cases):
+    _, sims = cases
+    gts = [sims[0].u_gt]
+
+    def outputs_at(v):
+        if v == 0.01:
+            raise ConfigError("bad value")
+        return gts
+
+    with pytest.raises(ConfigError, match="bad value"):
+        pipeline._search(outputs_at, gts, GridSpec(values=(1.0, 0.1, 0.01, 0.001)))
+
+
+@pytest.mark.parametrize("mu", [-1.0, 0.0, float("nan")])
+def test_mu_search_ignores_the_configs_own_mu(cases, mu):
+    cfg, sims = cases
+    traces = [(sims[0].u_gt, sims[0].rho_gt_recon)]
+    bad = fast_config()
+    bad.deconv.mu = mu
+    with pytest.raises(ConfigError):
+        pipeline.deconv_problem(bad, sims[0].u_gt)
+    assert same_search(search_mu(bad, traces, MUS), search_mu(cfg, traces, MUS))
