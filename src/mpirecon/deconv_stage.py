@@ -30,6 +30,7 @@ protocol lets a learned denoiser drop in without code changes.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import subprocess
@@ -65,10 +66,14 @@ class ConvolutionOperator:
     """
 
     def __init__(self, quadrant: np.ndarray):
+        self._quadrant = quadrant
         self._khat = quadrant_spectrum(quadrant)
         self._khat32 = self._khat.astype(np.float32)
-        # spectrum of the periodic (wrapped) kernel on the n x n grid
-        self.periodic_spectrum = sfft.fft2(_wrap(quadrant))
+
+    @functools.cached_property
+    def periodic_spectrum(self) -> np.ndarray:
+        """Spectrum of the periodic (wrapped) kernel on the n x n grid."""
+        return sfft.fft2(_wrap(self._quadrant))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return convolve_same(x, self._khat)

@@ -82,6 +82,22 @@ def quadrant_spectrum(quadrant: np.ndarray, parity: float = 1.0) -> np.ndarray:
     return half
 
 
+def _padded_spectrum(x: np.ndarray) -> np.ndarray:
+    """Half spectrum of x zero-padded to the circular grid of its size."""
+    nx, ny = x.shape
+    px, py = _fft_shape(nx, ny)
+    return sfft.fft(sfft.rfft(x, py, axis=1), px, axis=0, overwrite_x=True)
+
+
+def _window(product: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """The "same" window of the inverse transform of a half spectrum.
+
+    Overwrites ``product``; only its nx window rows are transformed back.
+    """
+    rows = sfft.ifft(product, axis=-2, overwrite_x=True)[..., :nx, :]
+    return sfft.irfft(rows, _fft_shape(nx, ny)[1], axis=-1)[..., :ny]
+
+
 def convolve_same(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Linear convolution of x with stencils, in the "same" window.
 
@@ -89,29 +105,27 @@ def convolve_same(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     :func:`quadrant_spectrum` is given.  Only the nx nonzero rows of the
     padded x are transformed forward, and only the nx window rows back.
     """
-    nx, ny = x.shape
-    px, py = _fft_shape(nx, ny)
-    xhat = sfft.fft(sfft.rfft(x, py, axis=1), px, axis=0, overwrite_x=True)
-    rows = sfft.ifft(xhat * spectrum, axis=-2, overwrite_x=True)[..., :nx, :]
-    return sfft.irfft(rows, py, axis=-1)[..., :ny]
+    return _window(_padded_spectrum(x) * spectrum, *x.shape)
 
 
 def core_response_field(rho: ScalarField, params: KernelParams) -> MatrixField:
     """A = K_h * rho on rho's grid; a12 and a21 share one convolution.
 
     k11 and k22 are even in each axis and k12 is odd, so each stencil is
-    evaluated on the nonnegative-offset quadrant only.  tr A = kappa_h * rho,
-    the ideal trace, since tr K_h = kappa_h.
+    evaluated on the nonnegative-offset quadrant only.  rho is transformed
+    once; each component's product with it goes through one complex
+    workspace and is written straight into its slot of A.  tr A =
+    kappa_h * rho, the ideal trace, since tr K_h = kappa_h.
     """
-    k11, k12, k22 = kernel_matrix_components(*offset_grids(rho.nx, rho.ny), params)
-    spectra = np.stack([quadrant_spectrum(k11), quadrant_spectrum(k12, -1.0),
-                        quadrant_spectrum(k22)])
-    c11, c12, c22 = convolve_same(rho.values, spectra) * rho.cell_area
-    out = np.empty((rho.nx, rho.ny, 2, 2))
-    out[:, :, 0, 0] = c11
-    out[:, :, 0, 1] = c12
-    out[:, :, 1, 0] = c12
-    out[:, :, 1, 1] = c22
+    nx, ny = rho.nx, rho.ny
+    k11, k12, k22 = kernel_matrix_components(*offset_grids(nx, ny), params)
+    xhat = _padded_spectrum(rho.values)
+    work = np.empty_like(xhat)
+    out = np.empty((nx, ny, 2, 2))
+    for k, parity, (a, b) in ((k11, 1.0, (0, 0)), (k12, -1.0, (0, 1)), (k22, 1.0, (1, 1))):
+        np.multiply(xhat, quadrant_spectrum(k, parity), out=work)
+        np.multiply(_window(work, nx, ny), rho.cell_area, out=out[:, :, a, b])
+    out[:, :, 1, 0] = out[:, :, 0, 1]
     return MatrixField(out)
 
 

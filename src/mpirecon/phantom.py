@@ -131,7 +131,12 @@ def rasterize(spec: PhantomSpec, nx: int, ny: int) -> ScalarField:
             or ymin < -1.0 + margin_y or ymax > 1.0 - margin_y:
         raise ValueError("phantom geometry must lie inside Omega with >= 1 cell margin")
 
-    px, py = np.meshgrid(cell_centers(nx), cell_centers(ny), indexing="ij")
+    # only cells within one cell of the bounding box can have their center
+    # in the shape, rounding included; the rest stay 0
+    xc, yc = cell_centers(nx), cell_centers(ny)
+    i0, i1 = np.searchsorted(xc, (xmin - margin_x, xmax + margin_x), side="right")
+    j0, j1 = np.searchsorted(yc, (ymin - margin_y, ymax + margin_y), side="right")
+    px, py = np.meshgrid(xc[i0:i1], yc[j0:j1], indexing="ij")
     cx, cy = spec.center
     if spec.kind == "disk":
         mask = np.hypot(px - cx, py - cy) <= spec.radius
@@ -146,4 +151,6 @@ def rasterize(spec: PhantomSpec, nx: int, ny: int) -> ScalarField:
         mask = np.zeros_like(px, dtype=bool)
         for a, b in zip(verts[0::2], verts[1::2]):
             mask |= _segment_distance(px, py, a, b) <= half
-    return ScalarField(np.where(mask, spec.intensity, 0.0))
+    values = np.zeros((nx, ny))
+    values[i0:i1, j0:j1] = np.where(mask, spec.intensity, 0.0)
+    return ScalarField(values)

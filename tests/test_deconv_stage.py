@@ -127,8 +127,11 @@ def test_periodic_spectrum_equals_looped_wrap():
         for d2 in range(1 - ny, ny):
             wrapped[d1 % nx, d2 % ny] += quadrant[abs(d1), abs(d2)]
     want = sfft.fft2(wrapped)
-    got = ConvolutionOperator(quadrant).periodic_spectrum
+    op = ConvolutionOperator(quadrant)
+    assert "periodic_spectrum" not in vars(op)   # built on first read only
+    got = op.periodic_spectrum
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert op.periodic_spectrum is got
 
 
 def test_operator_agrees_with_forward_module():

@@ -283,3 +283,18 @@ def test_simulate_series_deterministic():
     s1 = simulate_series(A, geom, 0.02, 11)
     s2 = simulate_series(A, geom, 0.02, 11)
     np.testing.assert_array_equal(s1.signals, s2.signals)
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (9, 12)])
+def test_core_response_equals_stacked_convolution(shape):
+    # the three components through one workspace, bitwise equal to one
+    # convolve_same over the stacked spectra scaled afterwards
+    rho = ScalarField(np.random.default_rng(12).uniform(size=shape))
+    k11, k12, k22 = kernel_matrix_components(*offset_grids(*shape), PARAMS)
+    spectra = np.stack([quadrant_spectrum(k11), quadrant_spectrum(k12, -1.0),
+                        quadrant_spectrum(k22)])
+    c11, c12, c22 = convolve_same(rho.values, spectra) * rho.cell_area
+    A = core_response_field(rho, PARAMS).values
+    for got, want in ((A[:, :, 0, 0], c11), (A[:, :, 0, 1], c12), (A[:, :, 1, 0], c12),
+                      (A[:, :, 1, 1], c22)):
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()

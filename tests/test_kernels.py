@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpirecon.kernels import (SERIES_THRESHOLD, KernelParams, SymMat2, f1, f2,
+from mpirecon.kernels import (FAR_FIELD, SERIES_THRESHOLD, KernelParams, SymMat2, f1, f2,
                               kernel_matrix, kernel_matrix_components, kernel_trace,
                               langevin)
 
@@ -135,3 +135,69 @@ def test_params_validation():
 
 def test_symmat2_trace():
     assert SymMat2(2.0, 0.5, 3.0).trace() == 5.0
+
+
+# The closed forms and series as written before the far-field split: the
+# reference that f1 and f2 must match to within one ulp everywhere.
+def closed_f1(z):
+    small = np.abs(z) < SERIES_THRESHOLD
+    zs = np.where(small, 1.0, z)
+    closed = (1.0 / np.tanh(zs) - 1.0 / zs) / zs
+    z2 = z * z
+    return np.where(small, 1.0 / 3.0 - z2 / 45.0 + 2.0 * z2 * z2 / 945.0, closed)
+
+
+def closed_f2(z):
+    small = np.abs(z) < SERIES_THRESHOLD
+    zs = np.where(small, 1.0, z)
+    with np.errstate(over="ignore"):
+        dlan = 1.0 / (zs * zs) - 1.0 / np.sinh(zs) ** 2
+    closed = dlan - (1.0 / np.tanh(zs) - 1.0 / zs) / zs
+    z2 = z * z
+    return np.where(small, z2 * (-2.0 / 45.0 + 8.0 * z2 / 945.0), closed)
+
+
+def z_sweep():
+    # 18.99: tanh reaches 1.0; 22.18: the sinh term stops changing f2;
+    # FAR_FIELD and its neighbouring floats: where the far-field forms start
+    marks = [0.0, SERIES_THRESHOLD, 18.99, 22.18, FAR_FIELD, 700.0]
+    near = [np.nextafter(m, -np.inf) for m in marks[1:]] + \
+           [np.nextafter(m, np.inf) for m in marks]
+    return np.concatenate([marks, near, np.linspace(0.0, 40.0, 40001),
+                           np.geomspace(1e-6, 700.0, 20001)])
+
+
+def test_f1_f2_match_closed_forms_on_a_sweep():
+    z = z_sweep()
+    np.testing.assert_array_max_ulp(f1(z), closed_f1(z), maxulp=1)
+    np.testing.assert_array_max_ulp(f2(z), closed_f2(z), maxulp=1)
+    # negative arguments take the near path, as both functions are even
+    np.testing.assert_array_max_ulp(f1(-z), closed_f1(-z), maxulp=1)
+    np.testing.assert_array_max_ulp(f2(-z), closed_f2(-z), maxulp=1)
+
+
+@pytest.mark.parametrize("z", [0.0, SERIES_THRESHOLD, 0.5, 18.99, 22.18, FAR_FIELD,
+                               np.nextafter(FAR_FIELD, 0.0), 700.0])
+def test_f1_f2_scalar_and_zero_dim_inputs(z):
+    for fn, ref in ((f1, closed_f1), (f2, closed_f2)):
+        for arg in (z, np.float64(z), np.array(z)):
+            out = fn(arg)
+            assert type(out) is float
+            np.testing.assert_array_max_ulp(out, ref(np.array(z)), maxulp=1)
+
+
+def test_kernel_at_far_and_near_points_matches_closed_forms():
+    p = KernelParams(h=0.01)
+    for y in ((0.3, -0.2), (0.2, 0.1), (0.001, 0.002), (0.0, 0.0)):
+        z = np.hypot(*y) / p.h
+        tr = kernel_trace(y, p)
+        assert type(tr) is float
+        np.testing.assert_array_max_ulp(tr, (2 * closed_f1(z) + closed_f2(z)) / p.h,
+                                         maxulp=1)
+        k = kernel_matrix(y, p)
+        r = np.hypot(*y) or 1.0
+        ux, uy = y[0] / r, y[1] / r
+        g1, g2 = closed_f1(z) / p.h, closed_f2(z) / p.h
+        np.testing.assert_array_max_ulp(k.a11, g1 + g2 * ux * ux, maxulp=1)
+        np.testing.assert_array_max_ulp(k.a12, g2 * ux * uy, maxulp=1)
+        np.testing.assert_array_max_ulp(k.a22, g1 + g2 * uy * uy, maxulp=1)

@@ -6,8 +6,8 @@ import pytest
 from mpirecon.config import PipelineConfig
 from mpirecon.fields import (FormatError, ScalarField, bilinear_sample, cell_centers,
                              load_field, resample_bilinear, save_field)
-from mpirecon.phantom import (annulus, bar, builtin_suite, disk, from_file,
-                              k_stroke, rasterize)
+from mpirecon.phantom import (_k_vertices, _segment_distance, annulus, bar, builtin_suite,
+                              disk, from_file, k_stroke, rasterize)
 from mpirecon.pipeline import phantom_spec
 
 
@@ -151,3 +151,43 @@ def test_pipeline_phantom_kinds_resolve_from_the_suite():
     cfg.phantom.kind = "k_medium"
     with pytest.raises(ValueError, match="unknown phantom kind"):
         phantom_spec(cfg)
+
+
+def full_grid_raster(spec, nx, ny):
+    """Reference: the shape's membership test at every cell center."""
+    px, py = np.meshgrid(cell_centers(nx), cell_centers(ny), indexing="ij")
+    cx, cy = spec.center
+    if spec.kind == "disk":
+        mask = np.hypot(px - cx, py - cy) <= spec.radius
+    elif spec.kind == "annulus":
+        r = np.hypot(px - cx, py - cy)
+        mask = (r <= spec.radius) & (r >= spec.inner_radius)
+    elif spec.kind == "bar":
+        mask = (np.abs(px - cx) <= spec.width / 2) & (np.abs(py - cy) <= spec.height / 2)
+    else:
+        verts = _k_vertices(spec.center, spec.height)
+        mask = np.zeros_like(px, dtype=bool)
+        for a, b in zip(verts[0::2], verts[1::2]):
+            mask |= _segment_distance(px, py, a, b) <= spec.stroke_width / 2.0
+    return np.where(mask, spec.intensity, 0.0)
+
+
+def margin_phantoms(nx, ny):
+    """Shapes whose bounding box touches the one-cell margin.
+
+    mx - 0.25 + 0.25 == mx exactly for mx in [0.75, 1), so each lands on it.
+    """
+    mx, my = 1.0 - 2.0 / nx, 1.0 - 2.0 / ny
+    return [bar(width=2 * mx, height=2 * my, intensity=0.5),
+            disk(radius=min(mx, my)),
+            disk(center=(mx - 0.25, -(my - 0.25)), radius=0.25),
+            annulus(center=(0.0, my - 0.25), inner_radius=0.1, outer_radius=0.25)]
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 9), (64, 64), (512, 512), (9, 12)])
+def test_bounding_box_raster_equals_full_grid(shape):
+    for spec in [*builtin_suite(), *margin_phantoms(*shape)]:
+        got = rasterize(spec, *shape).values
+        want = full_grid_raster(spec, *shape)
+        assert got.tobytes() == want.tobytes(), spec
+    assert np.any(rasterize(margin_phantoms(*shape)[0], *shape).values[1, 1:-1])
