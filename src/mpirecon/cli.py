@@ -8,8 +8,6 @@ Every command is deterministic given its config and seed.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import os
 import sys
 
@@ -25,49 +23,8 @@ from .spectral import save_coeffs
 from .theory_checks import run_default_suite
 
 
-# glibc mallopt(3) parameters and the values the CLI sets
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20   # glibc's largest allowed on 64-bit
-_TRIM_THRESHOLD_BYTES = 128 << 20
-
-
 class UsageError(Exception):
     pass
-
-
-def _load_libc():
-    """The C library the process runs on, or None where it cannot be loaded."""
-    try:
-        return ctypes.CDLL(None)
-    except (OSError, TypeError):
-        return None
-
-
-@functools.cache
-def _keep_freed_memory() -> bool:
-    """Keep freed heap memory in the process; returns whether it was set.
-
-    glibc's mmap and trim thresholds are dynamic by default, so after each
-    command it hands the simulate path's 4-25 MB numpy temporaries back to
-    the kernel, and the next command faults every page in again.  Fixed
-    thresholds (32 MiB mmap, 128 MiB trim) keep them on the heap.  Runs once
-    per process.  A no-op when the C library is not glibc or has no
-    mallopt, and when a MALLOC_*_ variable or GLIBC_TUNABLES is set: the
-    user's settings then decide.
-    """
-    if "GLIBC_TUNABLES" in os.environ or any(
-            name.startswith("MALLOC_") and name.endswith("_") for name in os.environ):
-        return False
-    libc = _load_libc()
-    # gnu_get_libc_version is glibc's own; other C libraries lack it
-    if libc is None or not all(hasattr(libc, f) for f in ("gnu_get_libc_version", "mallopt")):
-        return False
-    mallopt = libc.mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    trim_set = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-    return bool(mmap_set and trim_set)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,7 +175,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

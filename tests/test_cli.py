@@ -1,5 +1,4 @@
 import os
-import platform
 import subprocess
 import sys
 import warnings
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 import mpirecon
-from mpirecon import cli
 from mpirecon.cli import main
 from mpirecon.config import (ConfigError, PipelineConfig, apply_overrides,
                              apply_preset, load_config)
@@ -354,102 +352,3 @@ def test_scan_with_bad_values_exits_3(fast_scan, tmp_path, capsys, column, value
     assert main(FAST + ["reconstruct", str(scan), "--out", str(tmp_path / "rec")]) == 3
     err = capsys.readouterr().err
     assert message in err and "DLASCL" not in err
-
-
-def fake_mallopt(calls):
-    """A mallopt that records its calls, with settable ctypes attributes."""
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-    return mallopt
-
-
-class FakeGlibc:
-    """Stands in for the C library; records mallopt calls."""
-
-    def __init__(self):
-        self.calls = []
-        self.mallopt = fake_mallopt(self.calls)
-
-    def gnu_get_libc_version(self):
-        return b"2.36"
-
-
-@pytest.fixture
-def fresh_policy(monkeypatch):
-    """The once-per-process allocator policy not yet run, with no user settings."""
-    for name in list(os.environ):
-        if name == "GLIBC_TUNABLES" or (name.startswith("MALLOC_") and name.endswith("_")):
-            monkeypatch.delenv(name)
-    cli._keep_freed_memory.cache_clear()
-    yield
-    cli._keep_freed_memory.cache_clear()
-
-
-@pytest.fixture
-def allocator_policy(fresh_policy, monkeypatch):
-    """The fresh policy on a fake glibc; yields it and the list of its loads."""
-    libc = FakeGlibc()
-    loads = []
-    monkeypatch.setattr(cli, "_load_libc", lambda: loads.append(libc) or libc)
-    return libc, loads
-
-
-EXPECTED_MALLOPT = [(-3, 32 << 20), (-1, 128 << 20)]   # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
-
-
-def test_allocator_policy_runs_once_per_process(allocator_policy):
-    libc, loads = allocator_policy
-    assert cli._keep_freed_memory()
-    assert cli._keep_freed_memory()
-    assert libc.calls == EXPECTED_MALLOPT
-    assert len(loads) == 1
-
-
-class NoMallopt:
-    def gnu_get_libc_version(self):
-        return b"2.36"
-
-
-class NotGlibc:
-    def __init__(self):
-        self.calls = []
-        self.mallopt = fake_mallopt(self.calls)
-
-
-def test_allocator_policy_is_a_no_op_without_glibc_mallopt(allocator_policy, monkeypatch):
-    for libc in (None, NoMallopt(), NotGlibc()):
-        monkeypatch.setattr(cli, "_load_libc", lambda: libc)
-        cli._keep_freed_memory.cache_clear()
-        assert cli._keep_freed_memory() is False
-        assert getattr(libc, "calls", []) == []
-
-
-@pytest.mark.parametrize("name, value", [("MALLOC_TRIM_THRESHOLD_", "1048576"),
-                                         ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0")])
-def test_allocator_policy_yields_to_user_settings(allocator_policy, monkeypatch, name, value):
-    libc, loads = allocator_policy
-    monkeypatch.setenv(name, value)
-    assert cli._keep_freed_memory() is False
-    assert libc.calls == [] and loads == []
-
-
-def test_main_sets_allocator_policy_and_keeps_exit_codes(allocator_policy, monkeypatch,
-                                                        tmp_path):
-    libc, _ = allocator_policy
-
-    def singular(cfg):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    assert main(["bogus-command"]) == 1
-    assert main(["reconstruct", str(tmp_path / "missing.csv"),
-                 "--out", str(tmp_path / "o")]) == 3
-    monkeypatch.setattr(cli, "simulate_case", singular)
-    assert main(["simulate", "--out", str(tmp_path / "s")]) == 2
-    assert libc.calls == EXPECTED_MALLOPT
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
-def test_allocator_policy_sets_glibc_thresholds(fresh_policy):
-    # the real C library accepts both thresholds
-    assert cli._keep_freed_memory() is True
