@@ -215,6 +215,14 @@ def test_cli_import_does_not_load_scipy_signal():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_numerical_error_exits_2(tmp_path, monkeypatch):
+    def singular(cfg):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(mpirecon.cli, "simulate_case", singular)
+    assert main(["simulate", "--out", str(tmp_path / "s")]) == 2
+
+
 def test_usage_and_io_exit_codes(tmp_path):
     assert main(["bogus-command"]) == 1
     assert main(["gridsearch", "lambda", "--grid", "nonsense=1",
