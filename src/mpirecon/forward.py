@@ -1,13 +1,16 @@
 """Forward simulation: core response field, trajectory sampling, noise.
 
 The core response A = K_h * rho is computed by linear (zero-padded) discrete
-convolution on the fine grid: kernel entries sampled at all grid offsets,
-scaled by the cell area.  No periodic wraparound — rho has compact support
-and the kernel models free-space physics.  Each kernel component is even or
-odd in each axis, so it is sampled on the nonnegative-offset quadrant and
-its spectrum is a DCT-I or DST-I of that quadrant (:func:`quadrant_spectrum`).
-The same convolution routine, :func:`convolve_same`, serves the
-deconvolution stage, and tr A is the ideal trace kappa_h * rho.
+convolution on the fine grid: kernel entries sampled at grid offsets, scaled
+by the cell area.  No periodic wraparound — rho has compact support and the
+kernel models free-space physics.  Each kernel component is even or odd in
+each axis, so it is sampled on the nonnegative-offset quadrant and its
+spectrum is a DCT-I or DST-I of that quadrant (:func:`quadrant_spectrum`).
+The quadrant, and with it the padded grid, only reaches the largest offset
+between an output cell and a cell of rho's support (:func:`core_response_field`);
+a rho that reaches opposite edges takes the full quadrant.  The same
+convolution routine, :func:`convolve_same`, serves the deconvolution stage
+with the full quadrant, and tr A is the ideal trace kappa_h * rho.
 """
 
 from __future__ import annotations
@@ -82,44 +85,71 @@ def quadrant_spectrum(quadrant: np.ndarray, parity: float = 1.0) -> np.ndarray:
     return half
 
 
-def _padded_spectrum(x: np.ndarray) -> np.ndarray:
-    """Half spectrum of x zero-padded to the circular grid of its size."""
-    nx, ny = x.shape
-    px, py = _fft_shape(nx, ny)
-    return sfft.fft(sfft.rfft(x, py, axis=1), px, axis=0, overwrite_x=True)
+def _padded_spectrum(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Half spectrum of x zero-padded to the circular grid ``shape``."""
+    return sfft.fft(sfft.rfft(x, shape[1], axis=1), shape[0], axis=0, overwrite_x=True)
 
 
 def _window(product: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """The "same" window of the inverse transform of a half spectrum.
 
-    Overwrites ``product``; only its nx window rows are transformed back.
+    The circular grid is the spectrum's own: its row count, and twice its
+    column count less one.  Overwrites ``product``; only its nx window rows
+    are transformed back.
     """
     rows = sfft.ifft(product, axis=-2, overwrite_x=True)[..., :nx, :]
-    return sfft.irfft(rows, _fft_shape(nx, ny)[1], axis=-1)[..., :ny]
+    return sfft.irfft(rows, 2 * (product.shape[-1] - 1), axis=-1)[..., :ny]
 
 
 def convolve_same(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Linear convolution of x with stencils, in the "same" window.
 
     out[..., i, j] = sum_ab x[a, b] k[i - a, j - b] for each stencil k whose
-    :func:`quadrant_spectrum` is given.  Only the nx nonzero rows of the
-    padded x are transformed forward, and only the nx window rows back.
+    :func:`quadrant_spectrum` of the full (nx, ny) quadrant is given.  Only
+    the nx nonzero rows of the padded x are transformed forward, and only
+    the nx window rows back.
     """
-    return _window(_padded_spectrum(x) * spectrum, *x.shape)
+    return _window(_padded_spectrum(x, _fft_shape(*x.shape)) * spectrum, *x.shape)
+
+
+def _support_extent(nonzero: np.ndarray) -> tuple[int, int]:
+    """(a1, e) for an axis whose nonzero indices span [a0, a1).
+
+    e = max(a1, n - a0) is one more than the largest |i - a| between an
+    index i < n and a support index a.
+    """
+    idx = np.flatnonzero(nonzero)
+    a1 = int(idx[-1]) + 1
+    return a1, max(a1, len(nonzero) - int(idx[0]))
 
 
 def core_response_field(rho: ScalarField, params: KernelParams) -> MatrixField:
     """A = K_h * rho on rho's grid; a12 and a21 share one convolution.
 
-    k11 and k22 are even in each axis and k12 is odd, so each stencil is
-    evaluated on the nonnegative-offset quadrant only.  rho is transformed
-    once; each component's product with it goes through one complex
-    workspace and is written straight into its slot of A.  tr A =
-    kappa_h * rho, the ideal trace, since tr K_h = kappa_h.
+    rho's nonzero rows and columns span [a0, a1) x [b0, b1).  Per axis, the
+    largest offset between an output cell and a support cell is e - 1 with
+    e = max(a1, n - a0), so a circular grid of even size >= 2e is free of
+    wraparound (Oppenheim & Schafer, linear convolution by the DFT).  k11
+    and k22 are even in each axis and k12 is odd, so each stencil is
+    evaluated on the quadrant of offsets 0..e-1 only, and its
+    :func:`quadrant_spectrum` lies on ``_fft_shape(ex, ey)``.  rho's rows
+    < a1 are transformed once; each component's product with them goes
+    through one complex workspace and is written straight into its slot
+    of A.  A rho that reaches opposite edges takes e = n, the grid of
+    :func:`convolve_same`; an all-zero rho gives the zero field with no
+    transform.  tr A = kappa_h * rho, the ideal trace, since tr K_h =
+    kappa_h.
     """
     nx, ny = rho.nx, rho.ny
-    k11, k12, k22 = kernel_matrix_components(*offset_grids(nx, ny), params)
-    xhat = _padded_spectrum(rho.values)
+    nonzero = rho.values != 0
+    rows = nonzero.any(axis=1)
+    if not rows.any():
+        return MatrixField(np.zeros((nx, ny, 2, 2)))
+    (a1, ex), (b1, ey) = _support_extent(rows), _support_extent(nonzero.any(axis=0))
+    k11, k12, k22 = kernel_matrix_components(
+        *np.meshgrid(np.arange(ex) * (2.0 / nx), np.arange(ey) * (2.0 / ny), indexing="ij"),
+        params)
+    xhat = _padded_spectrum(rho.values[:a1, :b1], _fft_shape(ex, ey))
     work = np.empty_like(xhat)
     out = np.empty((nx, ny, 2, 2))
     for k, parity, (a, b) in ((k11, 1.0, (0, 0)), (k12, -1.0, (0, 1)), (k22, 1.0, (1, 1))):

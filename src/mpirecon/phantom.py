@@ -1,8 +1,9 @@
 """Built-in test phantoms: binary shapes rasterized on a fine grid.
 
 Shapes are defined in domain coordinates and rasterized by cell-center
-membership, giving values in {0, intensity}.  Geometry must leave at least
-one empty boundary cell at the requested resolution.
+membership, giving values in {0, intensity}; a field loaded from a file is
+scaled by the intensity.  Geometry must leave at least one empty boundary
+cell at the requested resolution.
 """
 
 from __future__ import annotations
@@ -117,14 +118,18 @@ def _segment_distance(px, py, a, b):
 
 
 def rasterize(spec: PhantomSpec, nx: int, ny: int) -> ScalarField:
-    """Binary rasterization: a cell is set iff its center lies in the shape."""
+    """Binary rasterization: a cell is set iff its center lies in the shape.
+
+    A ``from_file`` phantom is the loaded field, resampled bilinearly to
+    (nx, ny) if its size differs, times the intensity.
+    """
     if nx < 8 or ny < 8:
         raise ValueError("raster dimensions must be >= 8")
     if spec.kind == "from_file":
         f = load_field(spec.path)
         if (f.nx, f.ny) != (nx, ny):
             f = resample_bilinear(f, nx, ny)
-        return f
+        return ScalarField(f.values * spec.intensity)
     xmin, xmax, ymin, ymax = spec.bounding_box()
     margin_x, margin_y = 2.0 / nx, 2.0 / ny
     if xmin < -1.0 + margin_x or xmax > 1.0 - margin_x \

@@ -3,12 +3,14 @@ import pytest
 from scipy import fft as sfft
 from scipy.signal import fftconvolve
 
+from mpirecon import forward
 from mpirecon.fields import FormatError, MatrixField, ScalarField, cell_centers
 from mpirecon.forward import (ScanSeries, _fft_shape, add_noise, convolve_same,
                               core_response_field, offset_grids,
                               quadrant_spectrum, read_series_csv, simulate_series,
                               simulate_signal, write_series_csv)
 from mpirecon.kernels import KernelParams, kernel_matrix_components, kernel_trace
+from mpirecon.phantom import builtin_suite, rasterize
 from mpirecon.trajectory import LissajousSpec, make_scan
 
 PARAMS = KernelParams(h=0.05)
@@ -298,3 +300,79 @@ def test_core_response_equals_stacked_convolution(shape):
     for got, want in ((A[:, :, 0, 0], c11), (A[:, :, 0, 1], c12), (A[:, :, 1, 0], c12),
                       (A[:, :, 1, 1], c22)):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def full_grid_response(rho):
+    """Reference: the stacked convolve_same over the spectra of the full
+    (nx, ny) quadrant, on the padded grid _fft_shape(nx, ny)."""
+    k11, k12, k22 = kernel_matrix_components(*offset_grids(rho.nx, rho.ny), PARAMS)
+    spectra = np.stack([quadrant_spectrum(k11), quadrant_spectrum(k12, -1.0),
+                        quadrant_spectrum(k22)])
+    return convolve_same(rho.values, spectra) * rho.cell_area
+
+
+def delta(shape, cell):
+    rho = ScalarField.zeros(*shape)
+    rho.values[cell] = 1.0
+    return rho
+
+
+def block(shape, rows, cols):
+    values = np.zeros(shape)
+    values[rows, cols] = 1.0
+    return ScalarField(values * np.random.default_rng(13).uniform(0.5, 1.0, size=shape))
+
+
+COMPACT_SUPPORTS = {
+    **{f"{spec.name}-{n}": (lambda spec=spec, n=n: rasterize(spec, n, n))
+       for n in (64, 512) for spec in builtin_suite()},
+    "centre-cell": lambda: delta((33, 33), (16, 16)),
+    "corner-cell": lambda: delta((33, 33), (0, 0)),
+    "far-corner-cell": lambda: delta((16, 20), (15, 19)),
+    # rows [0, 5) touch the low-x edge, so e_x = 16, not the span 5;
+    # columns [3, 7) give e_y = max(7, 16 - 3) = 13
+    "one-edge": lambda: block((16, 16), slice(0, 5), slice(3, 7)),
+    "off-centre-9x12": lambda: block((9, 12), slice(5, 8), slice(2, 6)),
+    "off-centre-12x9": lambda: block((12, 9), slice(2, 6), slice(5, 8)),
+}
+
+
+@pytest.mark.parametrize("case", COMPACT_SUPPORTS)
+def test_core_response_on_compact_support_equals_full_grid_route(case):
+    # the quadrant reaches only the offsets between output and support
+    # cells; each component agrees with the full-grid route to rounding
+    rho = COMPACT_SUPPORTS[case]()
+    A = core_response_field(rho, PARAMS).values
+    for (a, b), want in zip([(0, 0), (0, 1), (1, 1)], full_grid_response(rho)):
+        assert np.max(np.abs(A[:, :, a, b] - want)) <= 1e-14 * np.max(np.abs(want))
+    np.testing.assert_array_equal(A[:, :, 0, 1], A[:, :, 1, 0])
+
+
+def padded_grids(monkeypatch, rho):
+    """The circular grid of every stencil spectrum core_response_field builds."""
+    grids = []
+
+    def recording(quadrant, parity=1.0):
+        half = quadrant_spectrum(quadrant, parity)
+        grids.append((half.shape[0], 2 * (half.shape[1] - 1)))
+        return half
+
+    monkeypatch.setattr(forward, "quadrant_spectrum", recording)
+    core_response_field(rho, PARAMS)
+    return set(grids)
+
+
+def test_core_response_padded_grid_follows_the_support(monkeypatch):
+    # the disk at 512 spans rows and columns [141, 371): e = 371, and
+    # next_fast_len(371) = 375
+    disk = next(spec for spec in builtin_suite() if spec.name == "disk")
+    assert padded_grids(monkeypatch, rasterize(disk, 512, 512)) == {(750, 750)}
+    # a support reaching opposite edges takes the full-quadrant grid
+    full = ScalarField(np.random.default_rng(14).uniform(size=(64, 64)))
+    assert padded_grids(monkeypatch, full) == {_fft_shape(64, 64)}
+    # one edge in x only
+    assert padded_grids(monkeypatch, COMPACT_SUPPORTS["one-edge"]()) == {_fft_shape(16, 13)}
+
+
+def test_zero_density_takes_no_transform(monkeypatch):
+    assert padded_grids(monkeypatch, ScalarField.zeros(32, 32)) == set()

@@ -117,6 +117,32 @@ def test_from_file_phantom(tmp_path):
     np.testing.assert_allclose(back.values, f.values, atol=1.0 / 65535)
 
 
+@pytest.mark.parametrize("n", [64, 32])
+def test_from_file_phantom_scales_by_intensity(tmp_path, n):
+    # the loaded field times the intensity, also after resampling; 1.0
+    # leaves every bit of the loaded field
+    path = str(tmp_path / "rho.pgm")
+    save_field(rasterize(disk(radius=0.4), 64, 64), path)
+    unit = rasterize(from_file(path), n, n).values
+    if n == 64:
+        np.testing.assert_array_equal(unit, load_field(path).values)
+    half = rasterize(from_file(path, intensity=0.5), n, n).values
+    np.testing.assert_array_equal(half, 0.5 * unit)
+    assert half.max() == 0.5
+
+
+@pytest.mark.parametrize("spec", builtin_suite(), ids=lambda s: s.name)
+def test_saved_ground_truth_keeps_exact_zeros(tmp_path, spec):
+    # a written phantom read back is 0.0 exactly outside its shape, so the
+    # forward convolution sees the same support as for the phantom itself
+    f = rasterize(spec, 64, 64)
+    path = str(tmp_path / "ground_truth.pgm")
+    save_field(f, path)
+    back = rasterize(from_file(path), 64, 64)
+    np.testing.assert_array_equal(back.values != 0, f.values != 0)
+    np.testing.assert_array_equal(back.values, f.values)
+
+
 def test_bilinear_sampling():
     xs = cell_centers(8)
     vals = np.add.outer(2.0 * xs, np.zeros(8))  # linear in x
