@@ -245,12 +245,13 @@ def _solve_split(blocks, c, g):
 
     blocks holds (a_k, [f_k, b_k]) for the diagonal blocks a_k of a, with the
     matching rows of f and b side by side (b_k is the last two columns).
-    Each a_k is factored in place and solves for f_k and b_k at once.  The
-    2x2 Schur complement c - b^T a^-1 b is solved by least squares: it is
-    singular when the scan's velocities do not span the plane.  Returns the
-    row blocks y_k of y, and z.
+    Each a_k is Fortran-ordered and read through its lower triangle, the
+    layout OpenBLAS factors fastest; it is factored in place and solves for
+    f_k and b_k at once.  The 2x2 Schur complement c - b^T a^-1 b is solved
+    by least squares: it is singular when the scan's velocities do not span
+    the plane.  Returns the row blocks y_k of y, and z.
     """
-    sols = [cho_solve(cho_factor(a, overwrite_a=True, check_finite=False), fb,
+    sols = [cho_solve(cho_factor(a, lower=True, overwrite_a=True, check_finite=False), fb,
                       check_finite=False) for a, fb in blocks]
     bt = [fb[:, -2:].T for _, fb in blocks]
     schur = c - sum(b @ sol[:, -2:] for b, sol in zip(bt, sols))
@@ -307,32 +308,36 @@ def _dual_gram(xa: np.ndarray, ya: np.ndarray, iy: np.ndarray, v: np.ndarray,
     velocity v[i].  With R_m1[c, b] = sum_m2 ya[c, m2] inv_w[m1, m2] ya[b, m2],
     G_ij = (v_i . v_j) sum_m1 xa[i, m1] xa[j, m1] R_m1[iy_i, iy_j].  image
     holds (xa, iy, v) of P further rows, and C_ij = G(row i, image j) for
-    i, j < P.  Returns G with G + C on its first P rows and columns; minus
-    receives G - C there.  The rows come in groups, the first P rows being
-    one, each sorted by y-value; every run of rows at one y-value c takes
-    one GEMM against each row up to the run's end, and a run among the
-    first P rows one more against their images.  Without images that is
-    about N M D^2 / 2 + K^2 N / 2 multiply-adds.  The entries above the
-    diagonal runs stay zero.
+    i, j < P, which is symmetric as the map keeps the kernel.  Returns G
+    with G + C on its first P rows and columns; minus receives G - C there.
+    The rows come in groups, the first P rows being one, each sorted by
+    y-value; every run of rows at one y-value c takes
+    one GEMM against each row from the run's start on, and a run among the
+    first P rows one more against their images.  That fills G's lower
+    triangle by column blocks.  Without images it is about
+    N M D^2 / 2 + K^2 N / 2 multiply-adds.  The entries above the diagonal
+    runs stay zero.  G is Fortran-ordered, and minus must be: each column
+    block is then one long contiguous write, and the factorization reads
+    their lower triangles in place (_solve_split).
     """
     xb, ib, vb = image
     K, P = len(xa), len(xb)
     ends = np.append(np.flatnonzero((np.diff(iy) != 0) | (np.arange(1, K) == P)) + 1, K)
-    top = np.maximum.accumulate(np.concatenate([np.maximum(iy[:P], ib), iy[P:]]))
-    gram = np.zeros((K, K))
+    low = np.minimum.accumulate(np.concatenate([np.minimum(iy[:P], ib), iy[P:]])[::-1])[::-1]
+    gram = np.zeros((K, K), order="F")
     start = 0
     for end in ends:
-        # R_m1[c, b] at [b, m1], for every y-value b the columns reach
-        r = ya[:top[end - 1] + 1] @ (ya[iy[start], :, None] * inv_w.T)
-        q = r[iy[:end]] * xa[:end]
-        block = xa[start:end] @ q.T
-        block *= v[start:end] @ v[:end].T
+        # R_m1[c, b] at [b - b0, m1], for every y-value b >= b0 the rows reach
+        b0 = low[start]
+        r = ya[b0:] @ (ya[iy[start], :, None] * inv_w.T)
+        block = (r[iy[start:] - b0] * xa[start:]) @ xa[start:end].T
+        block *= v[start:] @ v[start:end].T
         if end <= P:
-            cross = xa[start:end] @ (r[ib[:end]] * xb[:end]).T
-            cross *= v[start:end] @ vb[:end].T
-            np.subtract(block, cross, out=minus[start:end, :end])
-            block += cross
-        gram[start:end, :end] = block
+            cross = (r[ib[start:] - b0] * xb[start:]) @ xa[start:end].T
+            cross *= vb[start:] @ v[start:end].T
+            np.subtract(block[:P - start], cross, out=minus[start:P, start:end])
+            block[:P - start] += cross
+        gram[start:, start:end] = block
         start = end
     return gram
 
@@ -344,10 +349,12 @@ class CoreSystem:
     row per distinct (position, velocity direction): K rows for L samples.
     Ordered by y-value, then x-value, they form the design map (_Design)
     and enter the dual Gram per distinct y-value.  The Gram matrix depends
-    on neither lambda nor the signals, so it is built once; each solve()
-    factors it for its lambda and takes every signal series as a right-hand
-    side.  The dual (K x K) form is used when
-    K < 2NM, the primal (2NM x 2NM) form otherwise.
+    on neither lambda nor the signals, so it is built once.  solver(signals)
+    prepares the signals' right-hand sides once, and each lambda then costs
+    one factorization with every signal series as a right-hand side.  The
+    dual (K x K) form is used when K < 2NM, the primal (2NM x 2NM) form
+    otherwise.  Both store their matrices in Fortran order and factor the
+    lower triangle, the layout OpenBLAS factors fastest.
 
     The dual system is split into sectors.  The first of SQUARE_MAPS that
     pairs the rows (_mirror_rows) gives P pairs (r, p) with sign s_r and
@@ -390,7 +397,8 @@ class CoreSystem:
         else:
             u = (d.xtab.T[d.ix, :, None] * d.ytab.T[d.iy, None, :]).reshape(self.K, N * M)
             phi = (u[:, :, None] * self.v[:, None, :]).reshape(self.K, 2 * N * M)
-            self.normal = phi.T @ phi                               # Phi^T Phi
+            # Phi^T Phi is symmetric: its transpose is a Fortran-ordered view
+            self.normal = (phi.T @ phi).T
 
     def _split(self):
         """Find the scan's map g and build the lower triangle of each sector."""
@@ -411,7 +419,7 @@ class CoreSystem:
         ordered = np.concatenate([self.pair_rows, *fixed])
         images = self.pair_images
         P, n_plus = len(images), len(images) + len(fixed[0])
-        minus = np.zeros((P + len(fixed[1]),) * 2)
+        minus = np.zeros((P + len(fixed[1]),) * 2, order="F")
         gram = _dual_gram(d.xtab.T[d.ix[ordered]], d.ytab.T, d.iy[ordered], d.v[ordered],
                           self.inv_w, (d.xtab.T[d.ix[images]], d.iy[images],
                                        self.pair_sign[:, None] * d.v[images]), minus)
@@ -438,28 +446,50 @@ class CoreSystem:
             full += basis @ (np.tril(block) + np.tril(block, -1).T) @ basis.T
         return full
 
-    def solve(self, signals: np.ndarray, lam: float) -> np.ndarray:
-        """(R, N, M, 2, 2) minimizers for R signal series of shape (L, 2)."""
-        if not 0 < lam < np.inf:
-            raise ValueError("lambda must be positive and finite")
+    def solver(self, signals: np.ndarray):
+        """A function lam -> the (R, N, M, 2, 2) minimizers for R signal series
+        of shape (L, 2).
+
+        The merged signals and the right-hand sides in each sector's basis do
+        not depend on lambda, so they are formed here, once; each call
+        factors the system for its lambda.
+        """
         N, M = self.N, self.M
         s = np.zeros((self.K, 2 * len(signals)))        # column 2r + a
         np.add.at(s, self.group, self.scale[:, None] * np.concatenate(list(signals), axis=1))
-        if self.dual:
-            # the signals' columns, then phi0's two, in each sector's basis
-            rhs = np.concatenate([s, self.phi0], axis=1)
-            first, second = rhs[self.pair_rows], self.pair_sign[:, None] * rhs[self.pair_images]
+        if not self.dual:
+            # primal unknowns are rows (mode, b)
+            weights = np.repeat(self.weights.ravel(), 2)
+            b = np.swapaxes(self.design.adjoint(s) / self.L, 2, 3).reshape(2 * N * M, -1)
+            fb = np.concatenate([b[2:], self.normal[2:, :2] / self.L], axis=1)
+
+            def primal(lam: float) -> np.ndarray:
+                _check_lambda(lam)
+                reg = (lam / OMEGA_AREA) * weights
+                h, c = self.normal[2:, 2:] / self.L, self.normal[:2, :2] / self.L
+                h[np.diag_indices_from(h)] += reg[2:]          # Fortran-ordered, as normal
+                c[np.diag_indices_from(c)] += reg[:2]
+                (xp,), const = _solve_split([(h, fb)], c, b[:2])
+                x = np.concatenate([const, xp])
+                return x.reshape(N, M, 2, -1, 2).transpose(3, 0, 1, 4, 2)
+
+            return primal
+        # the signals' columns, then phi0's two, in each sector's basis
+        rhs = np.concatenate([s, self.phi0], axis=1)
+        first, second = rhs[self.pair_rows], self.pair_sign[:, None] * rhs[self.pair_images]
+        sector_rhs = [np.concatenate([(first + sigma * second) / np.sqrt(2.0), rhs[fixed]])
+                      for sigma, fixed, _ in self.sectors]
+        P = len(self.pair_rows)
+
+        def dual(lam: float) -> np.ndarray:
+            _check_lambda(lam)
             blocks = []
-            for sigma, fixed, gram in self.sectors:
-                # the Cholesky reads gram's lower triangle: the upper one of its
-                # Fortran-ordered transpose, factored in place
-                g = (4.0 / lam) * gram.T
+            for (_, _, gram), fb in zip(self.sectors, sector_rhs):
+                g = (4.0 / lam) * gram                  # keeps gram's Fortran order
                 g[np.diag_indices_from(g)] += self.L
-                blocks.append((g, np.concatenate([(first + sigma * second) / np.sqrt(2.0),
-                                                  rhs[fixed]])))
+                blocks.append((g, fb))
             parts, const = _solve_split(blocks, np.zeros((2, 2)), np.zeros((2, s.shape[1])))
             # back to the rows
-            P = len(self.pair_rows)
             alpha = np.empty_like(s)
             alpha[self.pair_rows] = sum(y[:P] for y in parts) / np.sqrt(2.0)
             alpha[self.pair_images] = self.pair_sign[:, None] / np.sqrt(2.0) * sum(
@@ -470,13 +500,17 @@ class CoreSystem:
             x *= (4.0 / lam) * self.inv_w[:, :, None, None]
             x[0, 0] = const.T
             return np.moveaxis(x.reshape(N, M, -1, 2, 2), 2, 0)
-        # primal unknowns are rows (mode, b)
-        h = self.normal / self.L
-        h[np.diag_indices_from(h)] += (lam / OMEGA_AREA) * np.repeat(self.weights.ravel(), 2)
-        b = np.swapaxes(self.design.adjoint(s) / self.L, 2, 3).reshape(2 * N * M, -1)
-        (xp,), const = _solve_split([(h[2:, 2:], np.concatenate([b[2:], h[2:, :2]], axis=1))],
-                                    h[:2, :2], b[:2])
-        return np.concatenate([const, xp]).reshape(N, M, 2, -1, 2).transpose(3, 0, 1, 4, 2)
+
+        return dual
+
+    def solve(self, signals: np.ndarray, lam: float) -> np.ndarray:
+        """(R, N, M, 2, 2) minimizers for R signal series of shape (L, 2)."""
+        return self.solver(signals)(lam)
+
+
+def _check_lambda(lam: float) -> None:
+    if not 0 < lam < np.inf:
+        raise ValueError("lambda must be positive and finite")
 
 
 def predict(coeffs: CoeffTensor, scan: ScanSeries) -> np.ndarray:

@@ -228,14 +228,18 @@ def read_series_csv(path: str) -> tuple[ScanSeries, float | None]:
                 continue
             if line.startswith("t,"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            rows.append(line)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed number ({exc})") from exc
     if h is not None and not 0 < h < np.inf:
         raise FormatError(f"{path}: kernel width h must be positive and finite, got {h}")
-    if not rows or any(len(r) != 7 for r in rows):
+    if not rows or any(line.count(",") != 6 for line in rows):
         raise FormatError(f"{path}: expected 7 columns t,rx,ry,vx,vy,sx,sy")
-    data = np.asarray(rows, dtype=float)
+    try:
+        # one parse of every data row; a "#" in a row is malformed, not a comment
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed number ({exc})") from exc
     if not (np.all(np.isfinite(data)) and np.isfinite(fraction)):
         raise FormatError(f"{path}: non-finite number")
     try:

@@ -5,8 +5,10 @@ coarser spectral grid, so the inverse solver never sees its own
 discretization.  Parameter search follows the two-step scheme: a coarse
 magnitude scan over j*10^i with j in {1,5}, then a refined scan j in {1..9}
 over the neighboring magnitudes of the best coarse hit.  The grid values of
-a step are independent runs, evaluated on one worker thread per usable CPU;
-their Cholesky and FFT kernels release the GIL.
+a step are independent runs, evaluated on one worker thread per usable CPU.
+Their FFT and numpy BLAS kernels release the GIL, but scipy.linalg's LAPACK
+wrappers (the core stage's Cholesky factor and solves) hold it, so the
+lambda steps' factorizations run one at a time.
 """
 
 from __future__ import annotations
@@ -285,23 +287,24 @@ def _core_traces(cfg: PipelineConfig, cases: list[SimCase], order: int):
     """A function lam -> the cases' core-stage traces, in case order.
 
     Cases scanned along the same geometry share one CoreSystem: its Gram
-    matrix is built once, and each lambda costs one factorization with
-    every such case's signals as right-hand sides.
+    matrix is built once, their signals' right-hand sides are prepared once
+    (CoreSystem.solver), and each lambda costs one factorization with every
+    such case's signals as right-hand sides.
     """
     groups: dict[bytes, list[int]] = {}
     for i, case in enumerate(cases):
         geom = case.series.geometry
         key = geom.positions.tobytes() + geom.velocities.tobytes()
         groups.setdefault(key, []).append(i)
-    systems = [(idx, CoreSystem(core_problem(cfg, cases[idx[0]].series, order=order)),
-                np.stack([cases[i].series.signals for i in idx]))
+    solvers = [(idx, CoreSystem(core_problem(cfg, cases[idx[0]].series, order=order))
+                .solver(np.stack([cases[i].series.signals for i in idx])))
                for idx in groups.values()]
     n = cfg.grids.recon_nx
 
     def traces(lam: float) -> list[ScalarField]:
         out = [None] * len(cases)
-        for idx, system, signals in systems:
-            for i, coeffs in zip(idx, system.solve(signals, lam)):
+        for idx, solve in solvers:
+            for i, coeffs in zip(idx, solve(lam)):
                 out[i] = trace_field(CoeffTensor(coeffs), n, n)
         return out
 

@@ -351,6 +351,74 @@ def test_dual_gram_matches_khatri_rao_reference(scan, distinct):
     assert solve_core(problem).final_residual <= 1e-10
 
 
+def assembled_solve(system: CoreSystem, signals: np.ndarray, lam: float) -> np.ndarray:
+    """The minimizers from a dense solve of the system assembled whole: the
+    merged dual system, unsplit, bordered by the constant mode, or the
+    primal normal equations."""
+    N, M, K = system.N, system.M, system.K
+    s = np.zeros((K, 2 * len(signals)))
+    np.add.at(s, system.group, system.scale[:, None] * np.concatenate(list(signals), axis=1))
+    if system.dual:
+        A = np.block([[system.L * np.eye(K) + (4.0 / lam) * system.gram, system.phi0],
+                      [system.phi0.T, np.zeros((2, 2))]])
+        sol = np.linalg.solve(A, np.vstack([s, np.zeros((2, s.shape[1]))]))
+        x = system.design.adjoint(sol[:K]) * (4.0 / lam) * system.inv_w[:, :, None, None]
+        x[0, 0] = sol[K:].T
+        return np.moveaxis(x.reshape(N, M, -1, 2, 2), 2, 0)
+    H = system.normal / system.L + np.diag(
+        (lam / 4.0) * np.repeat(system.weights.ravel(), 2))
+    b = np.swapaxes(system.design.adjoint(s) / system.L, 2, 3).reshape(2 * N * M, -1)
+    return np.linalg.solve(H, b).reshape(N, M, 2, -1, 2).transpose(3, 0, 1, 4, 2)
+
+
+@pytest.mark.parametrize("scan, N, sectors", [
+    pytest.param(lambda: preset_scan(False), 24, 2, id="sparse"),
+    pytest.param(lambda: preset_scan(True), 32, 2, id="dense"),
+    pytest.param(jittered_scan, 32, 1, id="jittered"),
+    pytest.param(lambda: make_scan(LissajousSpec(freq_x=3, freq_y=4), 200), 4, 0,
+                 id="primal")])
+def test_solver_equals_solve_and_the_assembled_system(scan, N, sectors):
+    # the per-signals solver is solve() at each lambda, bit for bit, and
+    # both match a dense solve of the whole system
+    geom = scan()
+    signals = np.random.default_rng(26).normal(size=(2, len(geom), 2))
+    system = CoreSystem(CoreProblem(ScanSeries(geom, signals[0]), N=N, M=N))
+    assert system.dual == (sectors > 0) and len(getattr(system, "sectors", ())) == sectors
+    solve = system.solver(signals)
+    for lam in (5.0, 0.01, 5e-4):
+        got = solve(lam)
+        assert np.array_equal(got, system.solve(signals, lam))
+        want = assembled_solve(system, signals, lam)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("scan, N", [
+    pytest.param(lambda: preset_scan(False), 64, id="sparse"),
+    pytest.param(lambda: preset_scan(True), 64, id="dense"),
+    pytest.param(lambda: make_scan(LissajousSpec(freq_x=3, freq_y=4), 200), 4, id="primal")])
+def test_factorizations_run_in_place_on_fortran_lower_triangles(scan, N, monkeypatch):
+    # LAPACK's potrf('L') on a Fortran-ordered matrix: the stored blocks are
+    # Fortran-strided, and each lambda's scaled copy is factored in place
+    from mpirecon import core_stage
+    geom = scan()
+    system = CoreSystem(CoreProblem(ScanSeries(geom, np.ones((len(geom), 2))), N=N, M=N))
+    stored = [block for _, _, block in system.sectors] if system.dual else [system.normal]
+    for block in stored:
+        assert block.strides[0] == block.itemsize < block.strides[1]
+    calls, cho_factor = [], core_stage.cho_factor
+
+    def spy(a, **kw):
+        factor = cho_factor(a, **kw)
+        calls.append((a, factor))
+        return factor
+
+    monkeypatch.setattr(core_stage, "cho_factor", spy)
+    system.solve(np.ones((1, len(geom), 2)), 0.01)
+    assert len(calls) == len(stored)
+    for a, (c, lower) in calls:
+        assert lower and a.flags.f_contiguous and np.shares_memory(c, a)
+
+
 def mirrored_series(seed):
     # a symmetric scan (40 samples -> 21 rows) plus five samples that repeat
     # a position with a scaled, reversed velocity

@@ -278,6 +278,31 @@ def test_series_csv_without_kernel_width(tmp_path):
     assert h is None and len(series.geometry) == 1
 
 
+def test_series_csv_reads_metadata_anywhere_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_text("\n0.0,0.1,0.2,1.0,0.0,0.5,0.1\n  \nt,rx,ry,vx,vy,sx,sy\n"
+                    "# h=0.02 seed=7\n 0.5, -0.1,0.3,0.0,2.0,1e-3,-4 \n# fraction=0.1\n")
+    series, h = read_series_csv(str(path))
+    assert h == 0.02 and series.seed == 7 and series.noise_fraction == 0.1
+    np.testing.assert_array_equal(series.geometry.positions, [[0.1, 0.2], [-0.1, 0.3]])
+    np.testing.assert_array_equal(series.signals, [[0.5, 0.1], [1e-3, -4.0]])
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0.0,0.1,0.2,1.0,0.0,0.5,x"], "malformed number"),
+    (["0.0,0.1,0.2,1.0,0.0,0.5,"], "malformed number"),
+    (["0.0,0.1,0.2,1.0,0.0,0.5,#1"], "malformed number"),
+    (["0.0,0.1,0.2,1.0,0.0,0.5"], "expected 7 columns"),
+    (["0.0,0.1,0.2,1.0,0.0,0.5,0.1,0.2"], "expected 7 columns"),
+    (["0.0,0.1,0.2,1.0,0.0,0.5,0.1", "0.5,0.1,0.2,1.0,0.0,0.5"], "expected 7 columns"),
+    ([], "expected 7 columns")])
+def test_series_csv_rejects_malformed_rows(tmp_path, rows, message):
+    path = tmp_path / "scan.csv"
+    path.write_text("# h=0.02\nt,rx,ry,vx,vy,sx,sy\n" + "".join(r + "\n" for r in rows))
+    with pytest.raises(FormatError, match=message):
+        read_series_csv(str(path))
+
+
 def test_simulate_series_deterministic():
     geom = make_scan(LissajousSpec(), 64)
     vals = np.random.default_rng(8).normal(size=(32, 32, 2, 2))

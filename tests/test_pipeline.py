@@ -63,17 +63,22 @@ def test_run_experiment_solves_nothing_after_its_searches(monkeypatch, cases):
     cfg, sims = cases
     # the searches call the solvers on worker threads: list.append is atomic
     calls = {"solve": [], "hqs": []}
-    solve, hqs = core_stage.CoreSystem.solve, pipeline.hqs_deconvolve
+    solver, hqs = core_stage.CoreSystem.solver, pipeline.hqs_deconvolve
 
-    def counted_solve(self, *args, **kw):
-        calls["solve"].append(None)
-        return solve(self, *args, **kw)
+    def counted_solver(self, signals):
+        # a solve is a call of the per-lambda function the solver returns
+        solve = solver(self, signals)
+
+        def counted_solve(lam):
+            calls["solve"].append(None)
+            return solve(lam)
+        return counted_solve
 
     def counted_hqs(*args, **kw):
         calls["hqs"].append(None)
         return hqs(*args, **kw)
 
-    monkeypatch.setattr(core_stage.CoreSystem, "solve", counted_solve)
+    monkeypatch.setattr(core_stage.CoreSystem, "solver", counted_solver)
     monkeypatch.setattr(pipeline, "hqs_deconvolve", counted_hqs)
     seen = spy_on_searches(monkeypatch, calls)
     run_experiment(cfg, sims, 2, LAMBDAS, MUS)
