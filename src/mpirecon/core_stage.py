@@ -104,7 +104,6 @@ class CoreOperator:
                               geom.velocities)
         self.weights = _mode_weights(problem)
         self.reg = (problem.lam / OMEGA_AREA) * self.weights        # (N, M)
-        self.shape = (problem.N, problem.M, 2, 2)
 
     def apply_b(self, coeffs: np.ndarray) -> np.ndarray:
         """(L, 2) predicted signals from (N, M, 2, 2) coefficients."""

@@ -41,16 +41,18 @@ class ScanSeries:
             raise ValueError("signals must be one 2-vector per sample")
 
 
-def offset_grids(nx: int, ny: int):
-    """Nonnegative grid offsets (i 2/nx, j 2/ny), i < nx, j < ny.
+def offset_grids(nx: int, ny: int, ex: int | None = None, ey: int | None = None):
+    """Nonnegative grid offsets (i 2/nx, j 2/ny), i < ex, j < ey.
+
+    ex and ey, the number of offsets per axis, default to the grid size.
 
     This is the quadrant of the kernel stencil; every kernel here is even or
     odd in each axis, so the quadrant determines it, and spectra come from
     the quadrant alone (:func:`quadrant_spectrum`): no full stencil is built
     anywhere.
     """
-    return np.meshgrid(np.arange(nx) * (2.0 / nx), np.arange(ny) * (2.0 / ny),
-                       indexing="ij")
+    return np.meshgrid(np.arange(nx if ex is None else ex) * (2.0 / nx),
+                       np.arange(ny if ey is None else ey) * (2.0 / ny), indexing="ij")
 
 
 def _fft_shape(nx: int, ny: int) -> tuple[int, int]:
@@ -146,9 +148,7 @@ def core_response_field(rho: ScalarField, params: KernelParams) -> MatrixField:
     if not rows.any():
         return MatrixField(np.zeros((nx, ny, 2, 2)))
     (a1, ex), (b1, ey) = _support_extent(rows), _support_extent(nonzero.any(axis=0))
-    k11, k12, k22 = kernel_matrix_components(
-        *np.meshgrid(np.arange(ex) * (2.0 / nx), np.arange(ey) * (2.0 / ny), indexing="ij"),
-        params)
+    k11, k12, k22 = kernel_matrix_components(*offset_grids(nx, ny, ex, ey), params)
     xhat = _padded_spectrum(rho.values[:a1, :b1], _fft_shape(ex, ey))
     work = np.empty_like(xhat)
     out = np.empty((nx, ny, 2, 2))

@@ -296,7 +296,9 @@ def _core_traces(cfg: PipelineConfig, cases: list[SimCase], order: int):
         geom = case.series.geometry
         key = geom.positions.tobytes() + geom.velocities.tobytes()
         groups.setdefault(key, []).append(i)
-    solvers = [(idx, CoreSystem(core_problem(cfg, cases[idx[0]].series, order=order))
+    # the system reads no lambda: any valid one will do, so the config's
+    # own lambda, which the search replaces, is not checked
+    solvers = [(idx, CoreSystem(core_problem(cfg, cases[idx[0]].series, lam=1.0, order=order))
                 .solver(np.stack([cases[i].series.signals for i in idx])))
                for idx in groups.values()]
     n = cfg.grids.recon_nx

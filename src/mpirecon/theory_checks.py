@@ -5,14 +5,18 @@ conditions, harmonic-kernel membership, equality of the Laplacian-squared
 and Hessian regularizers) to a quantitative residual evaluated through
 closed-form derivatives.  Non-existence statements are analytic results
 that finite sampling cannot certify; the suite covers only their
-constructive counterparts and says so in the report.
+constructive counterparts and says so in the report.  Each identity is
+written as operators applied to a member f(x, y, ax, ay) = d^ax_x d^ay_y u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .fields import cell_centers
 from .rng import SeededGenerator
@@ -61,14 +65,43 @@ def _edge_points(n: int = 200):
     ]
 
 
+def _maxabs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _factor(kind: str, w: float, s, k: int):
+    """k-th derivative in s of kind(w s), kind one of cos, sin, cosh, sinh."""
+    if kind in ("cos", "sin"):
+        # each derivative advances the phase by a quarter period
+        return w ** k * getattr(np, kind)(w * s + k * np.pi / 2.0)
+    hyp = (np.cosh, np.sinh) if kind == "cosh" else (np.sinh, np.cosh)
+    return w ** k * hyp[k % 2](w * s)
+
+
+def _product(kx: str, ky: str, w: float, shift: float = 0.0):
+    """Member f = kx(w (x + shift)) * ky(w (y + shift))."""
+    return lambda x, y, ax, ay: (
+        _factor(kx, w, np.asarray(x, dtype=float) + shift, ax)
+        * _factor(ky, w, np.asarray(y, dtype=float) + shift, ay))
+
+
+def _lap(f, x, y, ax: int = 0, ay: int = 0):
+    """Laplacian of f, after an extra derivative d^ax_x d^ay_y."""
+    return f(x, y, ax + 2, ay) + f(x, y, ax, ay + 2)
+
+
+def _bilap(f, x, y):
+    return f(x, y, 4, 0) + 2.0 * f(x, y, 2, 2) + f(x, y, 0, 4)
+
+
+def _edge_orders(axis: int, normal: int, tangent: int):
+    """(ax, ay) of d^normal_nu d^tangent_tau on an edge whose normal is along axis."""
+    return (normal, tangent) if axis == 0 else (tangent, normal)
+
+
 def trig_deriv(kind: str, k: int, t, order: int):
     """order-th derivative of cos/sin(w (t+1)) with w = pi k / 2."""
-    t = np.asarray(t, dtype=float)
-    w = 0.5 * np.pi * k
-    shift = order * np.pi / 2.0
-    if kind == "cos":
-        return w ** order * np.cos(w * (t + 1.0) + shift)
-    return w ** order * np.sin(w * (t + 1.0) + shift)
+    return _factor(kind, 0.5 * np.pi * k, np.asarray(t, dtype=float) + 1.0, order)
 
 
 def cos_partial(m, x, y, ax: int, ay: int):
@@ -88,12 +121,10 @@ def check_neumann_laplace_eigen(m, num_points: int = 100,
     """-Delta u_m = mu_m u_m in Omega and normal derivative zero on the edges."""
     x, y = _interior_points(num_points)
     mu = laplace_eigenvalue(m)
-    lap = cos_partial(m, x, y, 2, 0) + cos_partial(m, x, y, 0, 2)
-    r1 = float(np.max(np.abs(-lap - mu * cos_partial(m, x, y, 0, 0))))
-    r2 = 0.0
-    for ex, ey, axis in _edge_points():
-        dn = cos_partial(m, ex, ey, 1, 0) if axis == 0 else cos_partial(m, ex, ey, 0, 1)
-        r2 = max(r2, float(np.max(np.abs(dn))))
+    f = partial(cos_partial, m)
+    r1 = _maxabs(-_lap(f, x, y) - mu * f(x, y, 0, 0))
+    r2 = max(_maxabs(f(ex, ey, *_edge_orders(axis, 1, 0)))
+             for ex, ey, axis in _edge_points())
     return _report(f"laplace_neumann_eigen m={m}",
                    [("interior", r1), ("boundary_normal", r2)], tol)
 
@@ -103,19 +134,12 @@ def check_bilap_neumann_eigen(m, num_points: int = 100,
     """Delta^2 u_m = mu_m^2 u_m with d_nu u = 0 and d_nu Delta u = 0."""
     x, y = _interior_points(num_points)
     mu = laplace_eigenvalue(m)
-    bilap = (cos_partial(m, x, y, 4, 0) + 2.0 * cos_partial(m, x, y, 2, 2)
-             + cos_partial(m, x, y, 0, 4))
-    r1 = float(np.max(np.abs(bilap - mu * mu * cos_partial(m, x, y, 0, 0))))
-    r2 = r3 = 0.0
-    for ex, ey, axis in _edge_points():
-        if axis == 0:
-            dn = cos_partial(m, ex, ey, 1, 0)
-            dnlap = cos_partial(m, ex, ey, 3, 0) + cos_partial(m, ex, ey, 1, 2)
-        else:
-            dn = cos_partial(m, ex, ey, 0, 1)
-            dnlap = cos_partial(m, ex, ey, 0, 3) + cos_partial(m, ex, ey, 2, 1)
-        r2 = max(r2, float(np.max(np.abs(dn))))
-        r3 = max(r3, float(np.max(np.abs(dnlap))))
+    f = partial(cos_partial, m)
+    r1 = _maxabs(_bilap(f, x, y) - mu * mu * f(x, y, 0, 0))
+    edges = _edge_points()
+    r2 = max(_maxabs(f(ex, ey, *_edge_orders(axis, 1, 0))) for ex, ey, axis in edges)
+    r3 = max(_maxabs(_lap(f, ex, ey, *_edge_orders(axis, 1, 0)))
+             for ex, ey, axis in edges)
     # eigenvalues grow like mu^2; compare residuals relative to that scale
     scale = max(mu * mu, 1.0)
     return _report(f"bilaplace_neumann_eigen m={m}",
@@ -126,35 +150,19 @@ def check_bilap_neumann_eigen(m, num_points: int = 100,
 def check_dirichlet_variants(m, num_points: int = 100,
                              tol: float = DEFAULT_TOLERANCE) -> CheckReport:
     """Sine family: Laplace and Bi-Laplace eigen-relations with v = Delta v = 0."""
-    m1, m2 = m
-    if m1 < 1 or m2 < 1:
+    if min(m) < 1:
         raise ValueError("sine modes need m1, m2 >= 1")
     x, y = _interior_points(num_points)
     mu = laplace_eigenvalue(m)
-    lap = sin_partial(m, x, y, 2, 0) + sin_partial(m, x, y, 0, 2)
-    r1 = float(np.max(np.abs(-lap - mu * sin_partial(m, x, y, 0, 0))))
-    bilap = (sin_partial(m, x, y, 4, 0) + 2.0 * sin_partial(m, x, y, 2, 2)
-             + sin_partial(m, x, y, 0, 4))
-    r2 = float(np.max(np.abs(bilap - mu * mu * sin_partial(m, x, y, 0, 0)))) \
-        / max(mu * mu, 1.0)
-    r3 = r4 = 0.0
-    for ex, ey, _ in _edge_points():
-        r3 = max(r3, float(np.max(np.abs(sin_partial(m, ex, ey, 0, 0)))))
-        lap_edge = sin_partial(m, ex, ey, 2, 0) + sin_partial(m, ex, ey, 0, 2)
-        r4 = max(r4, float(np.max(np.abs(lap_edge))) / max(mu, 1.0))
+    f = partial(sin_partial, m)
+    r1 = _maxabs(-_lap(f, x, y) - mu * f(x, y, 0, 0))
+    r2 = _maxabs(_bilap(f, x, y) - mu * mu * f(x, y, 0, 0)) / max(mu * mu, 1.0)
+    edges = _edge_points()
+    r3 = max(_maxabs(f(ex, ey, 0, 0)) for ex, ey, _ in edges)
+    r4 = max(_maxabs(_lap(f, ex, ey)) / max(mu, 1.0) for ex, ey, _ in edges)
     return _report(f"dirichlet_variants m={m}",
                    [("laplace_interior", r1), ("bilaplace_interior_rel", r2),
                     ("boundary_value", r3), ("boundary_laplacian_rel", r4)], tol)
-
-
-def _harmonic_member(n: int, x, y, ax: int, ay: int):
-    """Partial derivatives of cos(pi n (x+1)/2) cosh(pi n (y+1)/2)."""
-    w = 0.5 * np.pi * n
-    cosf = trig_deriv("cos", n, x, ax)
-    # derivatives of cosh(w (y+1)): alternate cosh/sinh with factor w^order
-    arg = w * (np.asarray(y, dtype=float) + 1.0)
-    hyp = np.cosh(arg) if ay % 2 == 0 else np.sinh(arg)
-    return cosf * (w ** ay) * hyp
 
 
 def check_harmonic_kernel(n_max: int, num_points: int = 100,
@@ -164,40 +172,35 @@ def check_harmonic_kernel(n_max: int, num_points: int = 100,
     all-natural boundary conditions (Delta u = 0 and d_nu Delta u = 0)."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    # member n is cos(pi n (x+1)/2) cosh(pi n (y+1)/2)
+    members = [_product("cos", "cosh", 0.5 * np.pi * n, 1.0) for n in range(n_max + 1)]
     x, y = _interior_points(num_points)
-    residuals = []
-    for n in range(n_max + 1):
-        lap = _harmonic_member(n, x, y, 2, 0) + _harmonic_member(n, x, y, 0, 2)
-        scale = max(float(np.max(np.abs(_harmonic_member(n, x, y, 0, 0)))), 1.0)
-        residuals.append((f"laplacian_rel n={n}", float(np.max(np.abs(lap))) / scale))
+    residuals = [(f"laplacian_rel n={n}",
+                  _maxabs(_lap(f, x, y)) / max(_maxabs(f(x, y, 0, 0)), 1.0))
+                 for n, f in enumerate(members)]
     # orthogonality by midpoint quadrature on the cell-centered grid
     xs = cell_centers(quad_n)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     area = (2.0 / quad_n) ** 2
-    members = [_harmonic_member(n, gx, gy, 0, 0) for n in range(n_max + 1)]
-    norms = [float(np.sqrt(np.sum(u * u) * area)) for u in members]
-    worst = 0.0
-    for i in range(n_max + 1):
-        for j in range(i + 1, n_max + 1):
-            ip = float(np.sum(members[i] * members[j]) * area)
-            worst = max(worst, abs(ip) / (norms[i] * norms[j]))
+    u = [f(gx, gy, 0, 0) for f in members]
+    norms = [float(np.sqrt(np.sum(ui * ui) * area)) for ui in u]
+    worst = max(abs(float(np.sum(u[i] * u[j]) * area)) / (norms[i] * norms[j])
+                for i, j in combinations(range(n_max + 1), 2))
     residuals.append(("pairwise_orthogonality", worst))
     # boundary conditions hold trivially since Delta u vanishes identically
-    eb = 0.0
-    for ex, ey, axis in _edge_points():
-        for n in range(n_max + 1):
-            lap_e = _harmonic_member(n, ex, ey, 2, 0) + _harmonic_member(n, ex, ey, 0, 2)
-            if axis == 0:
-                dnlap = _harmonic_member(n, ex, ey, 3, 0) + _harmonic_member(n, ex, ey, 1, 2)
-            else:
-                dnlap = _harmonic_member(n, ex, ey, 2, 1) + _harmonic_member(n, ex, ey, 0, 3)
-            scale = max(float(np.max(np.abs(_harmonic_member(n, ex, ey, 0, 0)))), 1.0)
-            eb = max(eb, float(np.max(np.abs(lap_e))) / scale,
-                     float(np.max(np.abs(dnlap))) / scale)
+    eb = max(max(_maxabs(_lap(f, ex, ey)), _maxabs(_lap(f, ex, ey, *_edge_orders(axis, 1, 0))))
+             / max(_maxabs(f(ex, ey, 0, 0)), 1.0)
+             for ex, ey, axis in _edge_points() for f in members)
     residuals.append(("boundary_conditions_rel", eb))
     note = ("certifies the constructive content only; that no eigenfunctions "
             "exist for mu > 0 is an analytic statement outside numerical reach")
     return _report(f"harmonic_kernel n<={n_max}", residuals, tol, note)
+
+
+def _affine(x, y, ax: int, ay: int):
+    """The omega = 0 member (0.7 + 1.3 x)(-0.4 + 0.9 y): the family's affine
+    limit, whose second derivatives vanish identically."""
+    return P.polyval(x, P.polyder([0.7, 1.3], ax)) * P.polyval(y, P.polyder([-0.4, 0.9], ay))
 
 
 def check_kernel_separable_family(omega_values, num_points: int = 200,
@@ -206,23 +209,11 @@ def check_kernel_separable_family(omega_values, num_points: int = 200,
     x, y = _interior_points(num_points)
     residuals = []
     for omega in omega_values:
-        if omega == 0.0:
-            # affine product (a1 + a2 x)(b1 + b2 y): both second derivatives
-            # are identically zero, so the Laplacian residual is exactly 0
-            lap = np.zeros_like(x) * (-0.4 + 0.9 * y) + (0.7 + 1.3 * x) * np.zeros_like(y)
-            residuals.append(("omega=0 affine", float(np.max(np.abs(lap)))))
-            continue
-        w = float(omega)
-        trig = {"cos": np.cos(w * x), "sin": np.sin(w * x)}
-        trig2 = {"cos": -w * w * np.cos(w * x), "sin": -w * w * np.sin(w * x)}
-        hyp = {"cosh": np.cosh(w * y), "sinh": np.sinh(w * y)}
-        hyp2 = {"cosh": w * w * np.cosh(w * y), "sinh": w * w * np.sinh(w * y)}
-        for tname in ("cos", "sin"):
-            for hname in ("cosh", "sinh"):
-                lap = trig2[tname] * hyp[hname] + trig[tname] * hyp2[hname]
-                scale = max(float(np.max(np.abs(trig[tname] * hyp[hname]))), 1.0)
-                residuals.append((f"omega={omega:g} {tname}*{hname}",
-                                  float(np.max(np.abs(lap))) / scale))
+        members = ([("omega=0 affine", _affine)] if omega == 0.0 else
+                   [(f"omega={omega:g} {t}*{h}", _product(t, h, float(omega)))
+                    for t in ("cos", "sin") for h in ("cosh", "sinh")])
+        residuals += [(name, _maxabs(_lap(f, x, y)) / max(_maxabs(f(x, y, 0, 0)), 1.0))
+                      for name, f in members]
     note = ("the family exists for every omega; separable eigenfunctions for "
             "mu > 0 are excluded analytically, not numerically")
     return _report("kernel_separable_family", residuals, tol, note)
@@ -240,33 +231,19 @@ def check_r2_equals_r3(num_trials: int = 20, band: int = 8,
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     area = (2.0 / quad_n) ** 2
     modes = [(k, l) for k in range(band) for l in range(band)]
-    # precompute derivative grids per mode
-    tables = {}
-    for m in modes:
-        tables[m] = (cos_partial(m, gx, gy, 2, 0), cos_partial(m, gx, gy, 0, 2),
-                     cos_partial(m, gx, gy, 1, 1))
     gen = SeededGenerator(seed)
-    worst_23 = worst_spec = 0.0
-    for _ in range(num_trials):
-        coeff = gen.normal_pairs(len(modes))[:, 0]
-        uxx = np.zeros_like(gx)
-        uyy = np.zeros_like(gx)
-        uxy = np.zeros_like(gx)
-        spectral = 0.0
-        for c, m in zip(coeff, modes):
-            txx, tyy, txy = tables[m]
-            uxx += c * txx
-            uyy += c * tyy
-            uxy += c * txy
-            spectral += laplace_eigenvalue(m) ** 2 * c * c
-        r2 = float(np.sum((uxx + uyy) ** 2) * area) / 8.0
-        r3 = float(np.sum(uxx ** 2 + 2.0 * uxy ** 2 + uyy ** 2) * area) / 8.0
-        rs = spectral / 8.0
-        scale = max(abs(r2), abs(r3), abs(rs), 1e-30)
-        worst_23 = max(worst_23, abs(r2 - r3) / scale)
-        worst_spec = max(worst_spec, abs(r2 - rs) / scale, abs(r3 - rs) / scale)
+    coeff = np.array([gen.normal_pairs(len(modes))[:, 0] for _ in range(num_trials)])
+    # one row per trial: u_xx, u_yy and u_xy of its expansion on the grid
+    uxx, uyy, uxy = (coeff @ np.array([cos_partial(m, gx, gy, ax, ay).ravel() for m in modes])
+                     for ax, ay in ((2, 0), (0, 2), (1, 1)))
+    r2 = np.sum((uxx + uyy) ** 2, axis=1) * area / 8.0
+    r3 = np.sum(uxx ** 2 + 2.0 * uxy ** 2 + uyy ** 2, axis=1) * area / 8.0
+    rs = coeff ** 2 @ np.array([laplace_eigenvalue(m) ** 2 for m in modes]) / 8.0
+    scale = np.maximum(np.maximum(np.abs(r2), np.abs(r3)), np.maximum(np.abs(rs), 1e-30))
+    worst_spec = np.maximum(np.abs(r2 - rs), np.abs(r3 - rs)) / scale
     return _report(f"r2_equals_r3 band={band} trials={num_trials}",
-                   [("r2_vs_r3_rel", worst_23), ("vs_spectral_rel", worst_spec)], tol)
+                   [("r2_vs_r3_rel", float(np.max(np.abs(r2 - r3) / scale))),
+                    ("vs_spectral_rel", float(np.max(worst_spec)))], tol)
 
 
 def check_r3_boundary_term(m, tol: float = DEFAULT_TOLERANCE) -> CheckReport:
@@ -275,13 +252,10 @@ def check_r3_boundary_term(m, tol: float = DEFAULT_TOLERANCE) -> CheckReport:
     On x = +-1 edges the expression reduces to |u_xxx + 2 u_xyy|, on y = +-1
     to |u_yyy + 2 u_xxy| (tangential-derivative term plus d_nu Delta u).
     """
-    worst = 0.0
-    for ex, ey, axis in _edge_points(400):
-        if axis == 0:
-            expr = cos_partial(m, ex, ey, 3, 0) + 2.0 * cos_partial(m, ex, ey, 1, 2)
-        else:
-            expr = cos_partial(m, ex, ey, 0, 3) + 2.0 * cos_partial(m, ex, ey, 2, 1)
-        worst = max(worst, float(np.max(np.abs(expr))))
+    f = partial(cos_partial, m)
+    worst = max(_maxabs(f(ex, ey, *_edge_orders(axis, 3, 0))
+                        + 2.0 * f(ex, ey, *_edge_orders(axis, 1, 2)))
+                for ex, ey, axis in _edge_points(400))
     mu = laplace_eigenvalue(m)
     return _report(f"r3_boundary_term m={m}",
                    [("edge_expression_rel", worst / max(mu ** 1.5, 1.0))], tol)

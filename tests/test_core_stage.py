@@ -140,8 +140,8 @@ def test_hessian_symmetric_and_positive(scan):
     op = CoreOperator(problem)
     rng = np.random.default_rng(10)
     for _ in range(5):
-        a = rng.normal(size=op.shape)
-        b = rng.normal(size=op.shape)
+        a = rng.normal(size=(6, 6, 2, 2))
+        b = rng.normal(size=(6, 6, 2, 2))
         lhs = np.vdot(op.apply_h(a), b)
         rhs = np.vdot(a, op.apply_h(b))
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -185,14 +185,20 @@ def test_solve_residual_at_rounding_level(L, N):
     assert sol.energy == pytest.approx(energy(sol.coeffs, problem), rel=1e-14)
 
 
+def dense_normal_solution(problem):
+    """Solve of H x = B^T s / L with H assembled column by column from apply_h."""
+    op = CoreOperator(problem)
+    shape = (problem.N, problem.M, 2, 2)
+    H = np.stack([op.apply_h(e.reshape(shape)).ravel() for e in np.eye(int(np.prod(shape)))],
+                 axis=1)
+    return np.linalg.solve(H, op.rhs(problem.scan.signals).ravel()).reshape(shape)
+
+
 @pytest.mark.parametrize("L, N, order", [(40, 4, 1), (40, 4, 2), (12, 3, 1), (12, 3, 2)])
 def test_solve_matches_dense_normal_equations(L, N, order):
     series = small_series(L=L, seed=17)
     problem = CoreProblem(series, N=N, M=N, order=order, lam=0.03)
-    op = CoreOperator(problem)
-    n = int(np.prod(op.shape))
-    H = np.stack([op.apply_h(e.reshape(op.shape)).ravel() for e in np.eye(n)], axis=1)
-    want = np.linalg.solve(H, op.rhs(series.signals).ravel()).reshape(op.shape)
+    want = dense_normal_solution(problem)
     got = solve_core(problem).coeffs.coeffs
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -285,10 +291,7 @@ def test_sector_solve_matches_unmerged_normal_equations(order, scaled):
         assert system.symmetry is None and len(system.sectors) == 1
     else:
         assert np.array_equal(system.symmetry, [[-1, 0], [0, 1]]) and len(system.sectors) == 2
-    op = CoreOperator(problem)
-    n = int(np.prod(op.shape))
-    H = np.stack([op.apply_h(e.reshape(op.shape)).ravel() for e in np.eye(n)], axis=1)
-    want = np.linalg.solve(H, op.rhs(series.signals).ravel()).reshape(op.shape)
+    want = dense_normal_solution(problem)
     got = system.solve(series.signals[None], problem.lam)[0]
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -435,10 +438,7 @@ def test_merged_solve_matches_unmerged_normal_equations(N, dual, order):
     problem = CoreProblem(mirrored_series(19), N=N, M=N, order=order, lam=0.03)
     system = CoreSystem(problem)
     assert system.K == 21 and system.dual == dual
-    op = CoreOperator(problem)                   # the unmerged rows
-    n = int(np.prod(op.shape))
-    H = np.stack([op.apply_h(e.reshape(op.shape)).ravel() for e in np.eye(n)], axis=1)
-    want = np.linalg.solve(H, op.rhs(problem.scan.signals).ravel()).reshape(op.shape)
+    want = dense_normal_solution(problem)        # the unmerged rows
     got = system.solve(problem.scan.signals[None], problem.lam)[0]
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
     assert solve_core(problem).final_residual <= 1e-10

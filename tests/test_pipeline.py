@@ -142,3 +142,13 @@ def test_mu_search_ignores_the_configs_own_mu(cases, mu):
     with pytest.raises(ConfigError):
         pipeline.deconv_problem(bad, sims[0].u_gt)
     assert same_search(search_mu(bad, traces, MUS), search_mu(cfg, traces, MUS))
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, float("nan")])
+def test_lambda_search_ignores_the_configs_own_lambda(cases, lam):
+    cfg, sims = cases
+    bad = fast_config()
+    bad.core.lam = lam
+    with pytest.raises(ConfigError):
+        pipeline.core_problem(bad, sims[0].series)
+    assert same_search(search_lambda(bad, sims, 2, LAMBDAS), search_lambda(cfg, sims, 2, LAMBDAS))

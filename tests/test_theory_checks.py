@@ -108,9 +108,28 @@ def test_report_consistency():
     assert r.passed == all(v <= r.tolerance for _, v in r.residuals)
 
 
-def test_wrong_eigenvalue_fails_loudly(monkeypatch):
-    # negative control: corrupt the eigenvalue table and watch the check fail
+@pytest.mark.parametrize("check, want", [
+    pytest.param(lambda: tc.check_neumann_laplace_eigen((3, 2)), 3.19, id="laplace_neumann"),
+    pytest.param(lambda: tc.check_bilap_neumann_eigen((3, 2)), 0.172, id="bilaplace_neumann"),
+    pytest.param(lambda: tc.check_dirichlet_variants((3, 2)), 3.18, id="dirichlet"),
+    pytest.param(lambda: tc.check_r2_equals_r3(20, 8), 0.174, id="r2_equals_r3"),
+])
+def test_wrong_eigenvalue_fails_loudly(monkeypatch, check, want):
+    # negative control: corrupt the eigenvalue table and watch each check
+    # that reads it fail by the size of the corruption
     monkeypatch.setattr(tc, "laplace_eigenvalue", lambda m: 1.1 * laplace_eigenvalue(m))
-    r = tc.check_neumann_laplace_eigen((3, 2))
+    r = check()
     assert not r.passed
-    assert r.max_residual > 1e-3
+    assert r.max_residual == pytest.approx(want, rel=1e-2)
+
+
+def test_default_suite_layout():
+    # every mode's checks, the three single checks, and each one's residual rows
+    reports = tc.run_default_suite()
+    kinds = [r.name.split(" ")[0] for r in reports]
+    assert len(reports) == 186
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        "laplace_neumann_eigen": 49, "bilaplace_neumann_eigen": 49,
+        "r3_boundary_term": 49, "dirichlet_variants": 36, "harmonic_kernel": 1,
+        "kernel_separable_family": 1, "r2_equals_r3": 1}
+    assert sum(len(r.residuals) for r in reports) == 458
