@@ -1,19 +1,22 @@
 """Command-line surface: simulate, reconstruct, gridsearch, verify, metrics.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O error
-(including an input file that does not follow its format).
+(including an input file that does not follow its format, and an external
+denoiser that fails).
 Every command is deterministic given its config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, apply_overrides, apply_preset, load_config
+from .deconv_stage import DenoiserError
 from .fields import FormatError, load_field, resample_bilinear, save_field
 from .forward import read_series_csv, write_series_csv
 from .metrics import SSIM_WINDOW, score_pair
@@ -105,21 +108,23 @@ def cmd_verify(out_path: str) -> int:
     reports = run_default_suite()
     width = max(len(r.name) for r in reports)
     failed = 0
-    lines = []
+    rows = []
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         failed += not r.passed
         print(f"{r.name:<{width}}  max_residual={r.max_residual:.3e}  "
               f"tol={r.tolerance:g}  {status}")
         for rname, val in r.residuals:
-            lines.append(f"{r.name},{rname},{val!r},{r.tolerance!r},{r.passed}\n")
+            rows.append((r.name, rname, repr(float(val)), repr(float(r.tolerance)), r.passed))
     notes = {r.note for r in reports if r.note}
     for note in sorted(notes):
         print(f"note: {note}")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write("check,residual,value,tolerance,passed\n")
-            fh.writelines(lines)
+        # check names such as "laplace_neumann_eigen m=(0, 0)" hold commas
+        with open(out_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("check", "residual", "value", "tolerance", "passed"))
+            writer.writerows(rows)
     print(f"{len(reports) - failed}/{len(reports)} checks passed")
     return 0 if failed == 0 else 2
 
@@ -192,7 +197,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, OSError) as exc:
+    except (FormatError, OSError, DenoiserError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:

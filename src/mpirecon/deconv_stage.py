@@ -244,6 +244,10 @@ def denoise(rho: ScalarField, sigma: float, spec: DenoiserSpec) -> ScalarField:
     return _denoise_external(rho, sigma, spec)
 
 
+class DenoiserError(RuntimeError):
+    """The external denoiser failed, timed out or wrote a wrong-size image."""
+
+
 def _denoise_external(rho: ScalarField, sigma: float,
                       spec: DenoiserSpec) -> ScalarField:
     """File protocol in a per-call temporary dir: in.pgm + sigma -> out.pgm."""
@@ -255,14 +259,14 @@ def _denoise_external(rho: ScalarField, sigma: float,
             proc = subprocess.run([spec.command, xdir], capture_output=True,
                                   timeout=spec.timeout)
         except subprocess.TimeoutExpired as exc:
-            raise RuntimeError(f"external denoiser timed out after {spec.timeout}s") from exc
+            raise DenoiserError(f"external denoiser timed out after {spec.timeout}s") from exc
         if proc.returncode != 0:
-            raise RuntimeError(
+            raise DenoiserError(
                 f"external denoiser failed with exit status {proc.returncode}: "
                 f"{proc.stderr.decode(errors='replace')[:500]}")
         out = load_field(os.path.join(xdir, "out.pgm"))
     if (out.nx, out.ny) != (rho.nx, rho.ny):
-        raise RuntimeError("external denoiser returned mismatched dimensions")
+        raise DenoiserError("external denoiser returned mismatched dimensions")
     return out
 
 

@@ -8,12 +8,12 @@ over the neighboring magnitudes of the best coarse hit.  The grid values of
 a step are independent runs, evaluated on one worker thread per usable CPU.
 Their FFT and numpy BLAS kernels release the GIL, but scipy.linalg's LAPACK
 wrappers (the core stage's Cholesky factor and solves) hold it, so the
-lambda steps' factorizations run one at a time.
+lambda steps' factorizations run one at a time.  Each step's workers are
+joined before the step returns.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -231,24 +231,18 @@ class SearchResult:
     outputs: list = field(default_factory=list)   # the best value's outputs
 
 
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """The search workers: one thread per usable CPU, started on first use."""
+def _parallel_map(fn, items):
+    """fn over items on one worker thread per usable CPU; yields the results
+    in order and re-raises a task's exception in the caller.  The pool lives
+    for one call and is joined when the results run out or the generator is
+    closed, so calls may nest and a process forked after a call can call again.
+    """
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers, thread_name_prefix="mpirecon-search")
-
-
-def _parallel_map(fn, items):
-    """fn over items on the search workers; yields the results in order and
-    re-raises a task's exception in the caller.
-
-    fn must not call _parallel_map itself: a task that waits on tasks queued
-    behind it in a full pool never finishes.
-    """
-    return _pool().map(fn, items)
+    with ThreadPoolExecutor(workers, thread_name_prefix="mpirecon-search") as pool:
+        yield from pool.map(fn, items)
 
 
 def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> SearchResult:
@@ -270,7 +264,8 @@ def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> Search
     def visit(values):
         values = sorted(values, reverse=True)
         new = [v for v in dict.fromkeys(values) if v not in scores]
-        for v, outputs in zip(new, _parallel_map(outputs_at, new)):
+        # strict: zip asks past the last result, which joins the step's workers
+        for v, outputs in zip(new, _parallel_map(outputs_at, new), strict=True):
             psnrs, ssims = zip(*(score_pair(out, gt) for out, gt in zip(outputs, gts)))
             scores[v] = float(np.mean(psnrs)), float(np.mean(ssims))
             if len(scores) == 1 or scores[v][0] > result.best_score:

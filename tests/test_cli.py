@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -176,6 +177,11 @@ def test_verify_command(tmp_path):
     rows = open(report).read().splitlines()
     assert rows[0] == "check,residual,value,tolerance,passed"
     assert len(rows) > 100
+    # check names hold commas, so they are quoted
+    with open(report, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert len(table) == len(rows) and {len(row) for row in table} == {5}
+    assert table[1][0] == "laplace_neumann_eigen m=(0, 0)"
 
 
 def test_metrics_command(tmp_path, capsys):
@@ -291,6 +297,29 @@ def test_out_of_range_config_values_exit_1(fast_scan, tmp_path, capsys, command,
     argv = FAST + ["--set", override, command, *args, "--out", str(tmp_path / "o")]
     assert main(argv) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script,extra,message", [
+    ("exit 3", [], "exit status 3"),
+    ("exec sleep 30", ["--set", "deconv.timeout=0.2"], "timed out after 0.2s"),
+    ('cp "{small}.pgm" "$1/out.pgm" && cp "{small}.range" "$1/out.range"', [],
+     "mismatched dimensions"),
+])
+def test_failing_external_denoiser_exits_3(fast_scan, tmp_path, capsys, script, extra,
+                                           message):
+    # the denoiser is an outside program, like an input file: its failure is
+    # an I/O error (3), not a usage error (1) with a traceback
+    small = tmp_path / "small"
+    save_field(ScalarField(np.ones((8, 8))), f"{small}.pgm")
+    command = tmp_path / "denoiser.sh"
+    command.write_text("#!/bin/sh\n" + script.format(small=small) + "\n")
+    command.chmod(0o755)
+    argv = FAST + ["--set", "deconv.denoiser=external",
+                   "--set", f"deconv.external_command={command}", *extra,
+                   "reconstruct", fast_scan, "--out", str(tmp_path / "rec")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: external denoiser") and message in err
 
 
 @pytest.mark.parametrize("override", ["trajectory.freq_x=1e308", "trajectory.freq_y=inf",

@@ -1,4 +1,8 @@
+import os
+import subprocess
 import sys
+import textwrap
+import threading
 
 import pytest
 
@@ -131,6 +135,62 @@ def test_search_reraises_a_grid_values_config_error(cases):
 
     with pytest.raises(ConfigError, match="bad value"):
         pipeline._search(outputs_at, gts, GridSpec(values=(1.0, 0.1, 0.01, 0.001)))
+
+
+def search_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("mpirecon-search")]
+
+
+def test_searches_leave_no_worker_thread_running(cases):
+    cfg, sims = cases
+    lam = search_lambda(cfg, sims, 2, LAMBDAS)
+    assert search_threads() == []
+    search_mu(cfg, [(tr, case.rho_gt_recon) for tr, case in zip(lam.outputs, sims)], MUS)
+    assert search_threads() == []
+
+
+def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter; a run past timeout fails the test."""
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    try:
+        return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              capture_output=True, text=True, timeout=timeout,
+                              env={**os.environ, "PYTHONPATH": src})
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no result after {timeout} s: the call hung")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_search_in_a_child_forked_after_a_search():
+    # a hung search in the child ends it by SIGALRM, which fails the parent
+    proc = run_python("""
+        import os, signal, sys
+        from mpirecon.config import PipelineConfig
+        from mpirecon.pipeline import GridSpec, search_lambda, simulate_case
+        cfg = PipelineConfig()
+        cfg.grids.fine_nx, cfg.grids.recon_nx, cfg.grids.coeff_n = 64, 32, 16
+        cfg.trajectory.L = 128
+        cases, spec = [simulate_case(cfg)], GridSpec(values=(0.5, 0.05, 0.005))
+        rows = search_lambda(cfg, cases, 2, spec).rows
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            os._exit(0 if search_lambda(cfg, cases, 2, spec).rows == rows else 1)
+        sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_parallel_map_tasks_may_call_it():
+    # more outer tasks than workers, each waiting on tasks of its own
+    proc = run_python("""
+        import os
+        from mpirecon.pipeline import _parallel_map
+        n = 4 * (os.cpu_count() or 1)
+        inner = lambda i: sum(_parallel_map(abs, range(i)))
+        assert list(_parallel_map(inner, range(n))) == [sum(range(i)) for i in range(n)]
+        """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("mu", [-1.0, 0.0, float("nan")])
