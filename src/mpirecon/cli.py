@@ -1,9 +1,11 @@
 """Command-line surface: simulate, reconstruct, gridsearch, verify, metrics.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O error
-(including an input file that does not follow its format, and an external
-denoiser that fails).
-Every command is deterministic given its config and seed.
+(any OSError, which includes an input file that does not follow its format
+and an external denoiser that fails).
+Every command is deterministic given its config and seed.  Each command
+imports the stage modules it runs, so ``metrics`` and ``verify`` load no
+scipy.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, apply_overrides, apply_preset, load_config
-from .deconv_stage import DenoiserError
-from .fields import FormatError, load_field, resample_bilinear, save_field
-from .forward import read_series_csv, write_series_csv
+from .fields import load_field, resample_bilinear, save_field
 from .metrics import SSIM_WINDOW, score_pair
-from .pipeline import (GridSpec, reconstruct, run_core, search_lambda,
-                       search_mu, simulate_case)
-from .spectral import save_coeffs
-from .theory_checks import run_default_suite
 
 
 class UsageError(Exception):
@@ -46,6 +42,8 @@ def _build_config(args) -> PipelineConfig:
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: str) -> int:
     """Write scan CSV, ground-truth PGM and ideal-trace PGM."""
+    from .forward import write_series_csv
+    from .pipeline import simulate_case
     os.makedirs(out_dir, exist_ok=True)
     case = simulate_case(cfg)
     write_series_csv(case.series, os.path.join(out_dir, "scan.csv"), cfg.kernel.h)
@@ -57,6 +55,9 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: str) -> int:
 
 def cmd_reconstruct(cfg: PipelineConfig, scan_path: str, out_dir: str) -> int:
     """Run both stages; write coefficients, trace, reconstruction, diagnostics."""
+    from .forward import read_series_csv
+    from .pipeline import reconstruct
+    from .spectral import save_coeffs
     os.makedirs(out_dir, exist_ok=True)
     series, h = read_series_csv(scan_path)
     if h is not None:
@@ -78,6 +79,7 @@ def cmd_reconstruct(cfg: PipelineConfig, scan_path: str, out_dir: str) -> int:
 def cmd_gridsearch(cfg: PipelineConfig, param: str, grid_spec: str,
                    out_dir: str) -> int:
     """Two-step parameter scan; writes the score table and the best value."""
+    from .pipeline import GridSpec, run_core, search_lambda, search_mu, simulate_case
     os.makedirs(out_dir, exist_ok=True)
     try:
         spec = GridSpec.parse(grid_spec)
@@ -105,6 +107,7 @@ def cmd_gridsearch(cfg: PipelineConfig, param: str, grid_spec: str,
 
 def cmd_verify(out_path: str) -> int:
     """Run the certification suite; nonzero exit when any check fails."""
+    from .theory_checks import run_default_suite
     reports = run_default_suite()
     width = max(len(r.name) for r in reports)
     failed = 0
@@ -197,7 +200,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, OSError, DenoiserError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:

@@ -244,8 +244,9 @@ def denoise(rho: ScalarField, sigma: float, spec: DenoiserSpec) -> ScalarField:
     return _denoise_external(rho, sigma, spec)
 
 
-class DenoiserError(RuntimeError):
-    """The external denoiser failed, timed out or wrote a wrong-size image."""
+class DenoiserError(OSError):
+    """The external denoiser failed, timed out, or wrote no or a wrong-size
+    image: an I/O error, like a malformed input file."""
 
 
 def _denoise_external(rho: ScalarField, sigma: float,
@@ -264,7 +265,11 @@ def _denoise_external(rho: ScalarField, sigma: float,
             raise DenoiserError(
                 f"external denoiser failed with exit status {proc.returncode}: "
                 f"{proc.stderr.decode(errors='replace')[:500]}")
-        out = load_field(os.path.join(xdir, "out.pgm"))
+        try:
+            out = load_field(os.path.join(xdir, "out.pgm"))
+        except OSError as exc:   # the work dir is gone once this is reported
+            raise DenoiserError(f"external denoiser {spec.command} left no readable "
+                                f"out.pgm with its out.range") from exc
     if (out.nx, out.ny) != (rho.nx, rho.ny):
         raise DenoiserError("external denoiser returned mismatched dimensions")
     return out

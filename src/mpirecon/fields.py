@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class FormatError(ValueError):
-    """An input file that does not follow its documented format."""
+class FormatError(OSError):
+    """An input file that does not follow its documented format: an I/O
+    error, as ``gzip.BadGzipFile`` is."""
 
 
 def cell_centers(n: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from .config import ConfigError, PipelineConfig, _coerce
 from .core_stage import CoreProblem, CoreSolution, CoreSystem, solve_core, trace_field
 from .deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
                            build_convolution_operator, hqs_deconvolve, hqs_first_step)
-from .fields import FormatError, ScalarField, resample_bilinear
+from .fields import ScalarField, resample_bilinear
 from .forward import ScanSeries, core_response_field, simulate_series
 from .kernels import KernelParams
 from .metrics import SSIM_WINDOW, ideal_trace, score_pair
@@ -37,14 +37,9 @@ from .trajectory import LissajousSpec, ScanGeometry, make_scan, merge_scans, rot
 
 @contextmanager
 def _config_values(section: str):
-    """Report a domain class's own ValueError on config values as a ConfigError.
-
-    A malformed input file named by the config stays a FormatError (I/O).
-    """
+    """Report a domain class's own ValueError on config values as a ConfigError."""
     try:
         yield
-    except FormatError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad {section} configuration: {exc}") from exc
 

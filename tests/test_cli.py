@@ -8,7 +8,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import mpirecon
+import mpirecon.cli
+import mpirecon.pipeline
 from mpirecon.cli import main
 from mpirecon.config import (ConfigError, PipelineConfig, apply_overrides,
                              apply_preset, load_config)
@@ -212,20 +213,36 @@ def test_metrics_smaller_than_ssim_window_exits_1(tmp_path, capsys):
     assert "ssim=" in capsys.readouterr().out
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal costs about half of the package's import time, which
-    # every CLI process pays
-    src = os.path.dirname(os.path.dirname(mpirecon.__file__))
-    code = "import mpirecon.cli, sys; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env={**os.environ, "PYTHONPATH": src})
+def test_cli_import_and_numpy_only_commands_load_no_scipy(tmp_path):
+    # every CLI process pays its imports: the package root exports nothing,
+    # and the CLI loads a stage module only in the command that runs it, so
+    # metrics and verify never load scipy
+    recon, truth = str(tmp_path / "recon.pgm"), str(tmp_path / "truth.pgm")
+    save_field(ScalarField(np.arange(256.0).reshape(16, 16) % 7), recon)
+    save_field(ScalarField(np.arange(256.0).reshape(16, 16) % 5), truth)
+    code = f"""if True:
+        import sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        import mpirecon
+        assert not scipy_modules(), ("import mpirecon", scipy_modules())
+        import mpirecon.cli
+        assert not scipy_modules(), ("import mpirecon.cli", scipy_modules())
+        assert mpirecon.cli.main(["metrics", {recon!r}, {truth!r}]) == 0
+        assert mpirecon.cli.main(["verify"]) == 0
+        assert not scipy_modules(), ("metrics, verify", scipy_modules())
+    """
+    src = os.path.dirname(os.path.dirname(mpirecon.cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_numerical_error_exits_2(tmp_path, monkeypatch):
     def singular(cfg):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(mpirecon.cli, "simulate_case", singular)
+    monkeypatch.setattr(mpirecon.pipeline, "simulate_case", singular)
     assert main(["simulate", "--out", str(tmp_path / "s")]) == 2
 
 

@@ -7,11 +7,12 @@ import pytest
 from scipy import fft as sfft
 
 from mpirecon import deconv_stage
-from mpirecon.deconv_stage import (CG_TOL, ConvolutionOperator, DeconvProblem, DenoiserSpec,
-                                   build_convolution_operator, denoise, estimate_sigma,
+from mpirecon.deconv_stage import (CG_TOL, ConvolutionOperator, DeconvProblem, DenoiserError,
+                                   DenoiserSpec, build_convolution_operator, denoise,
+                                   estimate_sigma,
                                    DataIterate, hqs_deconvolve, hqs_first_step,
                                    tikhonov_step)
-from mpirecon.fields import ScalarField, cell_centers
+from mpirecon.fields import ScalarField, cell_centers, save_field
 from mpirecon.forward import core_response_field
 from mpirecon.kernels import KernelParams, kernel_trace
 
@@ -359,7 +360,23 @@ def test_external_denoiser_failure(tmp_path):
     script.write_text("#!/usr/bin/env python3\nimport sys\nsys.exit(3)\n")
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     spec = DenoiserSpec(kind="external", command=str(script))
-    with pytest.raises(RuntimeError, match="exit status 3"):
+    with pytest.raises(DenoiserError, match="exit status 3"):
+        denoise(ScalarField(np.ones((16, 16))), 0.1, spec)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_external_denoiser_without_output(tmp_path, half):
+    # a denoiser that exits 0 but leaves no image (/bin/true), or an image
+    # without its .range sidecar, is named in the error: its work dir is gone
+    command = "/bin/true"
+    if half:
+        save_field(ScalarField(np.ones((16, 16))), str(tmp_path / "img.pgm"))
+        command = str(tmp_path / "half.sh")
+        with open(command, "w") as fh:
+            fh.write(f'#!/bin/sh\ncp "{tmp_path / "img.pgm"}" "$1/out.pgm"\n')
+        os.chmod(command, 0o755)
+    spec = DenoiserSpec(kind="external", command=command)
+    with pytest.raises(DenoiserError, match=f"external denoiser {command} left no readable"):
         denoise(ScalarField(np.ones((16, 16))), 0.1, spec)
 
 
