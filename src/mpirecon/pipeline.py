@@ -5,18 +5,19 @@ coarser spectral grid, so the inverse solver never sees its own
 discretization.  Parameter search follows the two-step scheme: a coarse
 magnitude scan over j*10^i with j in {1,5}, then a refined scan j in {1..9}
 over the neighboring magnitudes of the best coarse hit.  The grid values of
-a step are independent runs, evaluated on one worker thread per usable CPU.
-Their FFT and numpy BLAS kernels release the GIL, but scipy.linalg's LAPACK
-wrappers (the core stage's Cholesky factor and solves) hold it, so the
-lambda steps' factorizations run one at a time.  Each step's workers are
-joined before the step returns.
+a step are independent runs.  A mu step evaluates them in worker processes
+forked for the step, one per usable CPU, since each HQS run's CG holds the
+GIL for its Python code and FFT dispatch; its workers are joined before the
+step returns.  A lambda step runs in the caller: its Cholesky factor and
+solves hold the GIL too, and a forked worker with its own BLAS threads
+would oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -226,28 +227,60 @@ class SearchResult:
     outputs: list = field(default_factory=list)   # the best value's outputs
 
 
+_step = None   # (fn, items) of the step a forked worker serves
+
+
+def _serve_step(fn, items):
+    global _step
+    _step = fn, items
+
+
+def _run_item(i):
+    fn, items = _step
+    return fn(items[i])
+
+
 def _parallel_map(fn, items):
-    """fn over items on one worker thread per usable CPU; yields the results
-    in order and re-raises a task's exception in the caller.  The pool lives
-    for one call and is joined when the results run out or the generator is
-    closed, so calls may nest and a process forked after a call can call again.
+    """fn over items in worker processes forked for this call, one per usable
+    CPU and at most one per item; yields the results in order and re-raises
+    a task's exception in the caller.  The workers inherit fn and the items
+    through the fork, so neither is pickled: only indices go out and results
+    come back.  A task's error, an interrupt or closing the generator early
+    cancels the items not yet handed to a worker.  The workers are joined
+    before the generator finishes, so calls may nest.  The items run in the
+    caller where fork is not safe (any platform but Linux) or one worker
+    would do.
     """
+    items = list(items)
     try:
-        workers = len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
-        workers = os.cpu_count() or 1
-    with ThreadPoolExecutor(workers, thread_name_prefix="mpirecon-search") as pool:
-        yield from pool.map(fn, items)
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(items))
+    if workers < 2 or sys.platform != "linux":
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_serve_step, initargs=(fn, items)) as pool:
+        try:
+            yield from pool.map(_run_item, range(len(items)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
-def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> SearchResult:
+def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None,
+            step_map=map) -> SearchResult:
     """Two-step search scoring outputs_at(v) by mean PSNR/SSIM against gts.
 
     Each grid value is evaluated once; a value the grid visits again adds a
     row with its first scores.  The first value with the highest mean PSNR
     wins, and the result keeps its outputs.  A step's new values are
-    evaluated concurrently (_parallel_map) and scored in this thread in the
-    serial order, so the result is the serial loop's, bit for bit.
+    evaluated by step_map (map, or _parallel_map to run them in worker
+    processes) and scored in the caller in the serial order, so the result
+    is the serial loop's, bit for bit.
     """
     if any(min(gt.values.shape) < SSIM_WINDOW for gt in gts):
         raise ConfigError(f"bad grids configuration: searches score by SSIM, "
@@ -260,7 +293,7 @@ def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None) -> Search
         values = sorted(values, reverse=True)
         new = [v for v in dict.fromkeys(values) if v not in scores]
         # strict: zip asks past the last result, which joins the step's workers
-        for v, outputs in zip(new, _parallel_map(outputs_at, new), strict=True):
+        for v, outputs in zip(new, step_map(outputs_at, new), strict=True):
             psnrs, ssims = zip(*(score_pair(out, gt) for out, gt in zip(outputs, gts)))
             scores[v] = float(np.mean(psnrs)), float(np.mean(ssims))
             if len(scores) == 1 or scores[v][0] > result.best_score:
@@ -305,7 +338,10 @@ def _core_traces(cfg: PipelineConfig, cases: list[SimCase], order: int):
 
 def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
                   spec: GridSpec | None = None) -> SearchResult:
-    """Pick lambda maximizing the mean core-stage trace PSNR over the cases."""
+    """Pick lambda maximizing the mean core-stage trace PSNR over the cases.
+
+    The steps run in the caller (see the module docstring).
+    """
     return _search(_core_traces(cfg, cases, order), [case.u_gt for case in cases], spec)
 
 
@@ -313,16 +349,14 @@ def _deconv_recons(cfg: PipelineConfig, traces: list[ScalarField]):
     """A function mu -> the traces' deconvolutions, in trace order.
 
     The traces share one convolution operator, and each trace's first HQS
-    iteration, which does not depend on mu, is computed once, up front.
+    iteration, which does not depend on mu, is computed once, up front, in
+    the caller, so that the workers of every mu step inherit it.
     """
     op = convolution_operator(cfg, traces[0].nx) if traces else None
 
-    def first_step(trace: ScalarField):
-        # the first step reads no mu: any valid one will do, so the config's
-        # own mu, which the search replaces, is not checked
-        return hqs_first_step(deconv_problem(cfg, trace, mu=1.0), op)
-
-    firsts = list(_parallel_map(first_step, traces))
+    # the first step reads no mu: any valid one will do, so the config's own
+    # mu, which the search replaces, is not checked
+    firsts = [hqs_first_step(deconv_problem(cfg, trace, mu=1.0), op) for trace in traces]
 
     def recons(mu: float) -> list[ScalarField]:
         return [hqs_deconvolve(deconv_problem(cfg, trace, mu), op, first)
@@ -333,9 +367,12 @@ def _deconv_recons(cfg: PipelineConfig, traces: list[ScalarField]):
 
 def search_mu(cfg: PipelineConfig, traces: list[tuple[ScalarField, ScalarField]],
               spec: GridSpec | None = None) -> SearchResult:
-    """Pick mu maximizing mean deconvolution PSNR over (trace, rho_gt) pairs."""
+    """Pick mu maximizing mean deconvolution PSNR over (trace, rho_gt) pairs.
+
+    Each step's values run in forked worker processes (_parallel_map).
+    """
     return _search(_deconv_recons(cfg, [tr for tr, _ in traces]),
-                   [gt for _, gt in traces], spec)
+                   [gt for _, gt in traces], spec, _parallel_map)
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,10 @@ def test_metrics_smaller_than_ssim_window_exits_1(tmp_path, capsys):
 def test_cli_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     # every CLI process pays its imports: the package root exports nothing,
     # and the CLI loads a stage module only in the command that runs it, so
-    # metrics and verify never load scipy
+    # metrics and verify never load scipy; only a search's worker pool
+    # loads multiprocessing, so simulate and reconstruct never do
     recon, truth = str(tmp_path / "recon.pgm"), str(tmp_path / "truth.pgm")
+    sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
     save_field(ScalarField(np.arange(256.0).reshape(16, 16) % 7), recon)
     save_field(ScalarField(np.arange(256.0).reshape(16, 16) % 5), truth)
     code = f"""if True:
@@ -231,6 +233,11 @@ def test_cli_import_and_numpy_only_commands_load_no_scipy(tmp_path):
         assert mpirecon.cli.main(["metrics", {recon!r}, {truth!r}]) == 0
         assert mpirecon.cli.main(["verify"]) == 0
         assert not scipy_modules(), ("metrics, verify", scipy_modules())
+        assert mpirecon.cli.main({FAST!r} + ["simulate", "--out", {sim!r}]) == 0
+        assert mpirecon.cli.main({FAST!r} + ["reconstruct", {sim + "/scan.csv"!r},
+                                             "--out", {rec!r}]) == 0
+        mp = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+        assert not mp, ("simulate, reconstruct", mp)
     """
     src = os.path.dirname(os.path.dirname(mpirecon.cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code], timeout=120, capture_output=True,

@@ -1,8 +1,10 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -34,16 +36,26 @@ def cases():
                  simulate_case(other, specs["k_thin"])]
 
 
+def shared_counter():
+    """A count that forked worker processes add to and the caller reads."""
+    return multiprocessing.get_context("fork").Value("i", 0)
+
+
+def count(counter):
+    with counter.get_lock():
+        counter.value += 1
+
+
 def spy_on_searches(monkeypatch, calls):
     """Record each search's result and the solver call counts at its return.
 
-    calls maps a solver to a list with one entry per call.
+    calls maps a solver to its shared_counter.
     """
     seen = {}
     for name in ("search_lambda", "search_mu"):
         def spy(*args, _search=getattr(pipeline, name), _name=name, **kw):
             res = _search(*args, **kw)
-            seen[_name] = (res, {k: len(v) for k, v in calls.items()})
+            seen[_name] = (res, {k: v.value for k, v in calls.items()})
             return res
         monkeypatch.setattr(pipeline, name, spy)
     return seen
@@ -65,8 +77,8 @@ def test_run_experiment_solves_nothing_after_its_searches(monkeypatch, cases):
     # each distinct lambda costs one solve per scan geometry and each
     # distinct mu one HQS run per case; the winners are never re-solved
     cfg, sims = cases
-    # the searches call the solvers on worker threads: list.append is atomic
-    calls = {"solve": [], "hqs": []}
+    # the mu search runs HQS in forked workers: count in shared memory
+    calls = {"solve": shared_counter(), "hqs": shared_counter()}
     solver, hqs = core_stage.CoreSystem.solver, pipeline.hqs_deconvolve
 
     def counted_solver(self, signals):
@@ -74,19 +86,19 @@ def test_run_experiment_solves_nothing_after_its_searches(monkeypatch, cases):
         solve = solver(self, signals)
 
         def counted_solve(lam):
-            calls["solve"].append(None)
+            count(calls["solve"])
             return solve(lam)
         return counted_solve
 
     def counted_hqs(*args, **kw):
-        calls["hqs"].append(None)
+        count(calls["hqs"])
         return hqs(*args, **kw)
 
     monkeypatch.setattr(core_stage.CoreSystem, "solver", counted_solver)
     monkeypatch.setattr(pipeline, "hqs_deconvolve", counted_hqs)
     seen = spy_on_searches(monkeypatch, calls)
     run_experiment(cfg, sims, 2, LAMBDAS, MUS)
-    counts = {k: len(v) for k, v in calls.items()}
+    counts = {k: v.value for k, v in calls.items()}
     n_lam, n_mu, geometries = len(set(LAMBDAS.values)), len(set(MUS.values)), 2
     assert counts == {"solve": n_lam * geometries, "hqs": n_mu * len(sims)}
     assert seen["search_lambda"][1] == {"solve": n_lam * geometries, "hqs": 0}
@@ -106,18 +118,13 @@ def same_search(a, b) -> bool:
 
 
 def test_searches_on_the_workers_equal_the_serial_loop(monkeypatch, cases):
-    # a two-step grid whose refine step revisits coarse values; the workers
-    # share operators and tables, and switch threads often
+    # a two-step grid whose refine step revisits coarse values; the mu
+    # steps' results come back from the workers by pickle
     cfg, sims = cases
     spec = GridSpec(exponents=(-3, -2), mantissas=(1.0, 5.0))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        lam = search_lambda(cfg, sims, 2, spec)
-        traces = [(tr, case.rho_gt_recon) for tr, case in zip(lam.outputs, sims)]
-        mu = search_mu(cfg, traces, spec)
-    finally:
-        sys.setswitchinterval(interval)
+    lam = search_lambda(cfg, sims, 2, spec)
+    traces = [(tr, case.rho_gt_recon) for tr, case in zip(lam.outputs, sims)]
+    mu = search_mu(cfg, traces, spec)
     monkeypatch.setattr(pipeline, "_parallel_map", map)
     assert same_search(lam, search_lambda(cfg, sims, 2, spec))
     assert same_search(mu, search_mu(cfg, traces, spec))
@@ -137,16 +144,37 @@ def test_search_reraises_a_grid_values_config_error(cases):
         pipeline._search(outputs_at, gts, GridSpec(values=(1.0, 0.1, 0.01, 0.001)))
 
 
-def search_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("mpirecon-search")]
+def test_search_cancels_the_values_queued_behind_a_failing_one(cases):
+    # the first value raises at once; every other one takes a while.  Up to
+    # about two values per worker are handed out before the error arrives
+    _, sims = cases
+    gts = [sims[0].u_gt]
+    evaluated = shared_counter()
+    values = tuple(float(v) for v in range(4 * os.cpu_count() + 4, 0, -1))
+
+    def outputs_at(v):
+        count(evaluated)
+        if v == values[0]:
+            raise ConfigError("bad value")
+        time.sleep(0.2)
+        return gts
+
+    with pytest.raises(ConfigError, match="bad value"):
+        pipeline._search(outputs_at, gts, GridSpec(values=values), pipeline._parallel_map)
+    assert 1 <= evaluated.value < len(values)
+    assert multiprocessing.active_children() == []
 
 
 def test_searches_leave_no_worker_thread_running(cases):
+    # nor a worker process, nor the pool's own threads in the caller
     cfg, sims = cases
+    threads = set(threading.enumerate())
     lam = search_lambda(cfg, sims, 2, LAMBDAS)
-    assert search_threads() == []
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads
     search_mu(cfg, [(tr, case.rho_gt_recon) for tr, case in zip(lam.outputs, sims)], MUS)
-    assert search_threads() == []
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads
 
 
 def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
@@ -189,6 +217,35 @@ def test_parallel_map_tasks_may_call_it():
         n = 4 * (os.cpu_count() or 1)
         inner = lambda i: sum(_parallel_map(abs, range(i)))
         assert list(_parallel_map(inner, range(n))) == [sum(range(i)) for i in range(n)]
+        """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="tasks run in forked workers on Linux with 2+ CPUs")
+def test_a_dead_worker_fails_its_step():
+    # a task that kills its own process: the caller gets BrokenProcessPool
+    # at once, and no worker is left behind
+    proc = run_python("""
+        import multiprocessing, os, signal, time
+        from concurrent.futures.process import BrokenProcessPool
+        from mpirecon.pipeline import _parallel_map
+
+        def task(i):
+            if i == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.1)
+            return i
+
+        start = time.perf_counter()
+        try:
+            list(_parallel_map(task, range(8)))
+        except BrokenProcessPool:
+            pass
+        else:
+            raise SystemExit("no BrokenProcessPool")
+        assert time.perf_counter() - start < 10, time.perf_counter() - start
+        assert multiprocessing.active_children() == [], multiprocessing.active_children()
         """, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
