@@ -22,10 +22,11 @@ iteration, SPD as the restriction of an SPD circulant (Ku & Kuo, IEEE TSP
 the next step's initial residual needs no convolution.  A data step whose
 initial residual already meets the tolerance returns its start unchanged;
 from there every HQS iteration repeats bitwise, so the loop stops.  The
-first iteration does not depend on mu, so a search over mu computes it
-once per trace (``hqs_first_step``).  The denoiser is pluggable: the
-built-in choice is a Gaussian blur keyed to sigma, and an external-process
-protocol lets a learned denoiser drop in without code changes.
+first iteration does not depend on mu: ``hqs_solver`` runs it once per
+trace and returns a function of mu that runs the rest.  The denoiser is
+pluggable: the built-in choice is a Gaussian blur keyed to sigma, and an
+external-process protocol lets a learned denoiser drop in without code
+changes.
 """
 
 from __future__ import annotations
@@ -291,55 +292,50 @@ class DeconvProblem:
             raise ValueError("iters must be >= 1")
 
 
-@dataclass(frozen=True)
-class FirstStep:
-    """The first HQS iteration: data iterate (with C^2 of it), its sigma,
-    denoised iterate, and C u, which every data step of the run reuses."""
+def hqs_solver(problem: DeconvProblem, op: ConvolutionOperator | None = None):
+    """A function mu -> rho2, the HQS loop's result at that mu.
 
-    rho1: DataIterate
-    sigma: float
-    rho2: ScalarField
-    cu: np.ndarray
-
-
-def hqs_first_step(problem: DeconvProblem, op: ConvolutionOperator) -> FirstStep:
-    """HQS iteration 1 (nu = nu0 from rho2 = 0); it does not depend on mu."""
-    u = problem.u
-    cu = op.apply(u.values)
-    rho1 = tikhonov_step(u, ScalarField.zeros(u.nx, u.ny), problem.nu0, op, cu=cu)
-    sigma = estimate_sigma(rho1)
-    return FirstStep(rho1, sigma, denoise(rho1, sigma, problem.denoiser), cu)
-
-
-def hqs_deconvolve(problem: DeconvProblem, op: ConvolutionOperator | None = None,
-                   first: FirstStep | None = None) -> ScalarField:
-    """Run the HQS loop; deterministic given the problem and denoiser spec.
-
-    The coupling follows nu_k = mu / sigma_k^2 with sigma estimated from the
-    data iterate (sigma_0 comes from nu0).  A constant iterate gives
-    sigma = 0, which short-circuits the denoiser to the identity and the
-    next data step to rho1 = rho2 (the infinite-coupling limit).  Each data
-    step after the first starts CG at the previous data iterate.  A data
-    step that returns its start leaves (rho1, sigma, rho2) unchanged, so
-    every later iteration would repeat it bitwise: the loop returns rho2
-    there.  ``first`` is ``hqs_first_step`` of a problem with the same
-    trace, nu0 and denoiser; the result is the same as without it.
+    Iteration 1 (nu = nu0 from rho2 = 0) and C u, the data term of every
+    data step's right-hand side, do not depend on mu, so they are computed
+    here, once; each call runs iterations 2..iters from them and is
+    deterministic given the problem and mu.  The coupling follows
+    nu_k = mu / sigma_k^2 with sigma estimated from the data iterate.  A
+    constant iterate gives sigma = 0, which short-circuits the denoiser to
+    the identity and the next data step to rho1 = rho2 (the
+    infinite-coupling limit).  Each data step after the first starts CG at
+    the previous data iterate.  A data step that returns its start leaves
+    (rho1, sigma, rho2) unchanged, so every later iteration would repeat it
+    bitwise: the call returns rho2 there.  The problem's own mu is not read.
     """
     u = problem.u
     if op is None:
         op = build_convolution_operator(problem.params, u.nx, u.ny)
-    if first is None:
-        first = hqs_first_step(problem, op)
-    rho1, sigma, rho2 = first.rho1, first.sigma, first.rho2
-    for _ in range(problem.iters - 1):
-        nu = problem.mu / (sigma * sigma) if sigma > 0.0 else np.inf
-        if not np.isfinite(nu):  # sigma collapsed to 0: infinite coupling
-            rho1 = ScalarField(rho2.values.copy())
-        else:
-            step = tikhonov_step(u, rho2, nu, op, start=rho1, cu=first.cu)
-            if step is rho1:  # the fixed point
-                return rho2
-            rho1 = step
-        sigma = estimate_sigma(rho1)
-        rho2 = denoise(rho1, sigma, problem.denoiser)
-    return rho2
+    cu = op.apply(u.values)
+    rho1_0 = tikhonov_step(u, ScalarField.zeros(u.nx, u.ny), problem.nu0, op, cu=cu)
+    sigma_0 = estimate_sigma(rho1_0)
+    rho2_0 = denoise(rho1_0, sigma_0, problem.denoiser)
+
+    def solve(mu: float) -> ScalarField:
+        if not 0 < mu < np.inf:
+            raise ValueError("mu must be positive and finite")
+        rho1, sigma, rho2 = rho1_0, sigma_0, rho2_0
+        for _ in range(problem.iters - 1):
+            nu = mu / (sigma * sigma) if sigma > 0.0 else np.inf
+            if not np.isfinite(nu):  # sigma collapsed to 0: infinite coupling
+                rho1 = ScalarField(rho2.values.copy())
+            else:
+                step = tikhonov_step(u, rho2, nu, op, start=rho1, cu=cu)
+                if step is rho1:  # the fixed point
+                    return rho2
+                rho1 = step
+            sigma = estimate_sigma(rho1)
+            rho2 = denoise(rho1, sigma, problem.denoiser)
+        return rho2
+
+    return solve
+
+
+def hqs_deconvolve(problem: DeconvProblem,
+                   op: ConvolutionOperator | None = None) -> ScalarField:
+    """Run the HQS loop at the problem's mu (see ``hqs_solver``)."""
+    return hqs_solver(problem, op)(problem.mu)

@@ -27,7 +27,7 @@ from . import phantom as ph
 from .config import ConfigError, PipelineConfig, _coerce
 from .core_stage import CoreProblem, CoreSolution, CoreSystem, solve_core, trace_field
 from .deconv_stage import (ConvolutionOperator, DeconvProblem, DenoiserSpec,
-                           build_convolution_operator, hqs_deconvolve, hqs_first_step)
+                           build_convolution_operator, hqs_deconvolve, hqs_solver)
 from .fields import ScalarField, resample_bilinear
 from .forward import ScanSeries, core_response_field, simulate_series
 from .kernels import KernelParams
@@ -225,6 +225,7 @@ class SearchResult:
     best_score: float
     rows: list = field(default_factory=list)      # (value, mean_psnr, mean_ssim)
     outputs: list = field(default_factory=list)   # the best value's outputs
+    scores: list = field(default_factory=list)    # their (psnr, ssim), per output
 
 
 _step = None   # (fn, items) of the step a forked worker serves
@@ -252,12 +253,8 @@ def _parallel_map(fn, items):
     would do.
     """
     items = list(items)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(items))
-    if workers < 2 or sys.platform != "linux":
+    workers = min(len(os.sched_getaffinity(0)), len(items)) if sys.platform == "linux" else 1
+    if workers < 2:
         yield from map(fn, items)
         return
     import multiprocessing
@@ -280,25 +277,28 @@ def _search(outputs_at, gts: list[ScalarField], spec: GridSpec | None,
     wins, and the result keeps its outputs.  A step's new values are
     evaluated by step_map (map, or _parallel_map to run them in worker
     processes) and scored in the caller in the serial order, so the result
-    is the serial loop's, bit for bit.
+    is the serial loop's, bit for bit.  The result keeps the winner's
+    per-output scores too, so its outputs need no second scoring.
     """
     if any(min(gt.values.shape) < SSIM_WINDOW for gt in gts):
         raise ConfigError(f"bad grids configuration: searches score by SSIM, "
                           f"which needs recon_nx >= {SSIM_WINDOW}")
     spec = spec or GridSpec()
-    scores: dict[float, tuple[float, float]] = {}
+    means: dict[float, tuple[float, float]] = {}
     result = SearchResult(math.nan, math.nan)
 
     def visit(values):
         values = sorted(values, reverse=True)
-        new = [v for v in dict.fromkeys(values) if v not in scores]
+        new = [v for v in dict.fromkeys(values) if v not in means]
         # strict: zip asks past the last result, which joins the step's workers
         for v, outputs in zip(new, step_map(outputs_at, new), strict=True):
-            psnrs, ssims = zip(*(score_pair(out, gt) for out, gt in zip(outputs, gts)))
-            scores[v] = float(np.mean(psnrs)), float(np.mean(ssims))
-            if len(scores) == 1 or scores[v][0] > result.best_score:
-                result.best_value, result.best_score, result.outputs = v, scores[v][0], outputs
-        result.rows.extend((v, *scores[v]) for v in values)
+            scores = [score_pair(out, gt) for out, gt in zip(outputs, gts)]
+            psnrs, ssims = zip(*scores)
+            means[v] = float(np.mean(psnrs)), float(np.mean(ssims))
+            if len(means) == 1 or means[v][0] > result.best_score:
+                result.best_value, result.best_score = v, means[v][0]
+                result.outputs, result.scores = outputs, scores
+        result.rows.extend((v, *means[v]) for v in values)
 
     visit(spec.coarse())
     if spec.refine and not spec.values:
@@ -348,19 +348,19 @@ def search_lambda(cfg: PipelineConfig, cases: list[SimCase], order: int,
 def _deconv_recons(cfg: PipelineConfig, traces: list[ScalarField]):
     """A function mu -> the traces' deconvolutions, in trace order.
 
-    The traces share one convolution operator, and each trace's first HQS
-    iteration, which does not depend on mu, is computed once, up front, in
-    the caller, so that the workers of every mu step inherit it.
+    Traces of the same grid size share one convolution operator.  Each
+    trace's HQS solver, which runs the mu-free first iteration, is built
+    once, up front, in the caller, so that the workers of every mu step
+    inherit it.
     """
-    op = convolution_operator(cfg, traces[0].nx) if traces else None
-
-    # the first step reads no mu: any valid one will do, so the config's own
+    ops = {n: convolution_operator(cfg, n) for n in {trace.nx for trace in traces}}
+    # the solver reads no mu: any valid one will do, so the config's own
     # mu, which the search replaces, is not checked
-    firsts = [hqs_first_step(deconv_problem(cfg, trace, mu=1.0), op) for trace in traces]
+    solvers = [hqs_solver(deconv_problem(cfg, trace, mu=1.0), ops[trace.nx])
+               for trace in traces]
 
     def recons(mu: float) -> list[ScalarField]:
-        return [hqs_deconvolve(deconv_problem(cfg, trace, mu), op, first)
-                for trace, first in zip(traces, firsts)]
+        return [solve(mu) for solve in solvers]
 
     return recons
 
@@ -406,17 +406,18 @@ def run_experiment(cfg: PipelineConfig, cases: list[SimCase], order: int,
                    lambda_spec: GridSpec | None = None,
                    mu_spec: GridSpec | None = None,
                    run_deconv_stage: bool = True) -> OrderScores:
-    """Grid-search lambda (and mu), then score the winning outputs per phantom."""
+    """Grid-search lambda (and mu); the winners' outputs and per-phantom
+    scores are the searches' own."""
     lam = search_lambda(cfg, cases, order, lambda_spec)
     result = OrderScores(order, lam.best_value, math.nan)
-    for case, tr in zip(cases, lam.outputs):
-        result.core_scores.append((case.name, *score_pair(tr, case.u_gt)))
+    for case, tr, scores in zip(cases, lam.outputs, lam.scores):
+        result.core_scores.append((case.name, *scores))
         result.traces[case.name] = tr
     if run_deconv_stage:
         mu = search_mu(cfg, [(tr, case.rho_gt_recon) for tr, case in zip(lam.outputs, cases)],
                        mu_spec)
         result.mu = mu.best_value
-        for case, rho in zip(cases, mu.outputs):
-            result.deconv_scores.append((case.name, *score_pair(rho, case.rho_gt_recon)))
+        for case, rho, scores in zip(cases, mu.outputs, mu.scores):
+            result.deconv_scores.append((case.name, *scores))
             result.recons[case.name] = rho
     return result

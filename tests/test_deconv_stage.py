@@ -10,7 +10,7 @@ from mpirecon import deconv_stage
 from mpirecon.deconv_stage import (CG_TOL, ConvolutionOperator, DeconvProblem, DenoiserError,
                                    DenoiserSpec, build_convolution_operator, denoise,
                                    estimate_sigma,
-                                   DataIterate, hqs_deconvolve, hqs_first_step,
+                                   DataIterate, hqs_deconvolve, hqs_solver,
                                    tikhonov_step)
 from mpirecon.fields import ScalarField, cell_centers, save_field
 from mpirecon.forward import core_response_field
@@ -407,17 +407,24 @@ def test_hqs_sigma_zero_short_circuit():
     assert np.all(out.values == 0.0)
 
 
-def test_hqs_shared_first_step_is_bitwise_identical():
-    # the first iteration depends on the trace, nu0 and the denoiser only, so
-    # one computed under another mu gives the same bits as a plain run
+def test_hqs_solver_at_each_mu_is_bitwise_a_plain_run():
+    # one solver, built under another mu, shares its first iteration across
+    # every mu and gives the same bits as a plain run at that mu
     n = 20
     op = build_convolution_operator(PARAMS, n, n)
     u = ScalarField(np.random.default_rng(16).normal(size=(n, n)))
-    first = hqs_first_step(DeconvProblem(u, PARAMS, mu=5.0, nu0=1.0, iters=4), op)
-    for mu in (0.1, 0.001):
+    solve = hqs_solver(DeconvProblem(u, PARAMS, mu=5.0, nu0=1.0, iters=4), op)
+    for mu in (1.0, 0.1, 0.01, 1e-3, 1e-4):
         p = DeconvProblem(u, PARAMS, mu=mu, nu0=1.0, iters=4)
-        np.testing.assert_array_equal(hqs_deconvolve(p, op, first).values,
-                                      hqs_deconvolve(p, op).values)
+        np.testing.assert_array_equal(solve(mu).values, hqs_deconvolve(p, op).values)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
+def test_hqs_solver_rejects_a_mu_not_positive_and_finite(mu):
+    u = ScalarField(np.random.default_rng(17).normal(size=(12, 12)))
+    solve = hqs_solver(DeconvProblem(u, PARAMS, mu=0.01, nu0=1.0, iters=3))
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        solve(mu)
 
 
 def test_search_mu_rows_equal_independent_deconvolutions():
@@ -437,6 +444,30 @@ def test_search_mu_rows_equal_independent_deconvolutions():
     mus = (0.1, 0.01, 0.001)
     res = search_mu(cfg, pairs, GridSpec(values=mus))
     assert [v for v, _, _ in res.rows] == list(mus)
+    for mu, psnr_mean, ssim_mean in res.rows:
+        scores = [score_pair(run_deconv(cfg, tr, mu), gt) for tr, gt in pairs]
+        assert psnr_mean == float(np.mean([p for p, _ in scores]))
+        assert ssim_mean == float(np.mean([s for _, s in scores]))
+
+
+def test_search_mu_over_mixed_grid_sizes_equals_independent_deconvolutions():
+    # a 32^2 and a 24^2 trace in one search: each grid size has its operator
+    from mpirecon.config import PipelineConfig
+    from mpirecon.metrics import score_pair
+    from mpirecon.phantom import builtin_suite
+    from mpirecon.pipeline import GridSpec, run_core, run_deconv, search_mu, simulate_case
+    cfg = PipelineConfig()
+    cfg.grids.fine_nx, cfg.grids.coeff_n = 64, 12
+    cfg.trajectory.L = 200
+    cfg.deconv.iters = 3
+    specs = {s.name: s for s in builtin_suite()}
+    pairs = []
+    for n, name in ((32, "disk"), (24, "k_thin")):
+        cfg.grids.recon_nx = n
+        case = simulate_case(cfg, specs[name])
+        pairs.append((run_core(cfg, case.series, lam=0.01)[1], case.rho_gt_recon))
+    assert [tr.nx for tr, _ in pairs] == [32, 24]
+    res = search_mu(cfg, pairs, GridSpec(values=(0.01, 0.001)))
     for mu, psnr_mean, ssim_mean in res.rows:
         scores = [score_pair(run_deconv(cfg, tr, mu), gt) for tr, gt in pairs]
         assert psnr_mean == float(np.mean([p for p, _ in scores]))

@@ -62,9 +62,17 @@ def spy_on_searches(monkeypatch, calls):
 
 
 def test_run_experiment_scores_are_its_search_winners(monkeypatch, cases):
+    # the searches score every output they make, and nothing is scored after
     cfg, sims = cases
-    seen = spy_on_searches(monkeypatch, {})
+    calls = {"score": shared_counter()}
+    score = pipeline.score_pair
+    monkeypatch.setattr(pipeline, "score_pair", lambda *a: count(calls["score"]) or score(*a))
+    seen = spy_on_searches(monkeypatch, calls)
     res = run_experiment(cfg, sims, 2, LAMBDAS, MUS)
+    n_lam, n_mu = len(set(LAMBDAS.values)), len(set(MUS.values))
+    assert seen["search_lambda"][1] == {"score": n_lam * len(sims)}
+    assert seen["search_mu"][1] == {"score": (n_lam + n_mu) * len(sims)}
+    assert calls["score"].value == (n_lam + n_mu) * len(sims)
     lam, mu = seen["search_lambda"][0], seen["search_mu"][0]
     assert (res.lam, res.mu) == (lam.best_value, mu.best_value)
     assert res.mean_core_psnr() == lam.best_score
@@ -79,23 +87,21 @@ def test_run_experiment_solves_nothing_after_its_searches(monkeypatch, cases):
     cfg, sims = cases
     # the mu search runs HQS in forked workers: count in shared memory
     calls = {"solve": shared_counter(), "hqs": shared_counter()}
-    solver, hqs = core_stage.CoreSystem.solver, pipeline.hqs_deconvolve
 
-    def counted_solver(self, signals):
-        # a solve is a call of the per-lambda function the solver returns
-        solve = solver(self, signals)
+    def counting(solver, counter):
+        # a run is a call of the per-lambda or per-mu function a solver returns
+        def counted_solver(*args):
+            solve = solver(*args)
 
-        def counted_solve(lam):
-            count(calls["solve"])
-            return solve(lam)
-        return counted_solve
+            def counted_solve(value):
+                count(counter)
+                return solve(value)
+            return counted_solve
+        return counted_solver
 
-    def counted_hqs(*args, **kw):
-        count(calls["hqs"])
-        return hqs(*args, **kw)
-
-    monkeypatch.setattr(core_stage.CoreSystem, "solver", counted_solver)
-    monkeypatch.setattr(pipeline, "hqs_deconvolve", counted_hqs)
+    monkeypatch.setattr(core_stage.CoreSystem, "solver",
+                        counting(core_stage.CoreSystem.solver, calls["solve"]))
+    monkeypatch.setattr(pipeline, "hqs_solver", counting(pipeline.hqs_solver, calls["hqs"]))
     seen = spy_on_searches(monkeypatch, calls)
     run_experiment(cfg, sims, 2, LAMBDAS, MUS)
     counts = {k: v.value for k, v in calls.items()}
